@@ -33,10 +33,10 @@ import (
 	"lpmem/internal/regress"
 )
 
-// defaultBaseline is the committed perf file this PR records into;
-// future PRs re-record into a BENCH_PR<n>.json of their own and update
-// this default.
-const defaultBaseline = "BENCH_PR9.json"
+// defaultBaseline is the committed perf file that -check compares
+// against; a change that re-records into a BENCH_PR<n>.json of its own
+// updates this default, and the new file inherits its optimization log.
+const defaultBaseline = "BENCH_PR12.json"
 
 const defaultGoldenDir = "testdata/golden"
 
@@ -53,6 +53,9 @@ type config struct {
 	baseline      string
 	goldenDir     string
 	tolerance     float64
+	// inherit is the baseline whose optimization log a new baseline
+	// file starts from: the default one, which the new file succeeds.
+	inherit string
 }
 
 // report is the -json envelope of a check run.
@@ -68,7 +71,7 @@ type report struct {
 
 // run is the testable entry point; it returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	var cfg config
+	cfg := config{inherit: defaultBaseline}
 	fs := flag.NewFlagSet("lpmembench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.BoolVar(&cfg.record, "record", false, "re-measure and rewrite the goldens and the perf baseline")
@@ -134,7 +137,9 @@ func selectExperiments(filter string) ([]lpmem.Experiment, error) {
 
 // doRecord refreshes the golden snapshots and the perf baseline for the
 // selected experiments, preserving non-selected entries and the
-// optimization log of an existing baseline file.
+// optimization log of an existing baseline file. A new baseline file
+// starts from the optimization log of the default baseline, so the log
+// carries over from one BENCH_PR<n>.json to the next.
 func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout, stderr io.Writer) int {
 	meas, err := regress.MeasureAll(exps, cfg.iterations, progress)
 	if err != nil {
@@ -146,6 +151,10 @@ func doRecord(cfg config, exps []lpmem.Experiment, progress func(string), stdout
 		base = prev
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(stderr, "lpmembench: ignoring existing baseline: %v\n", err)
+	} else if prev, err := regress.ReadBaseline(cfg.inherit); err == nil {
+		base.Optimizations = prev.Optimizations
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(stderr, "lpmembench: not inheriting an optimization log: %v\n", err)
 	}
 	base.GoVersion = runtime.Version()
 	base.Iterations = cfg.iterations

@@ -133,3 +133,50 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordNewFileInheritsOptimizations: recording into a baseline file
+// that does not exist yet carries the default baseline's optimization
+// log forward; recording into an existing file keeps that file's own log.
+func TestRecordNewFileInheritsOptimizations(t *testing.T) {
+	dir := t.TempDir()
+	exps, err := selectExperiments("E4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{
+		iterations: 1,
+		baseline:   filepath.Join(dir, "new.json"),
+		goldenDir:  filepath.Join(dir, "golden"),
+		inherit:    filepath.Join(dir, "default.json"),
+	}
+	log := []regress.Optimization{{
+		Target: "internal/x", Description: "earlier win",
+		Before: map[string]int64{"E4": 2}, After: map[string]int64{"E4": 1},
+	}}
+	if err := regress.WriteBaseline(cfg.inherit, &regress.Baseline{Optimizations: log}); err != nil {
+		t.Fatal(err)
+	}
+	record := func() *regress.Baseline {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if code := doRecord(cfg, exps, func(string) {}, &out, &errOut); code != 0 {
+			t.Fatalf("record exit %d, stderr: %s", code, errOut.String())
+		}
+		got, err := regress.ReadBaseline(cfg.baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := record(); len(got.Optimizations) != 1 || got.Optimizations[0].Description != "earlier win" {
+		t.Fatalf("new baseline optimizations = %+v, want the inherited log", got.Optimizations)
+	}
+
+	// The file now exists: its own log wins over the default's.
+	if err := regress.WriteBaseline(cfg.inherit, &regress.Baseline{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := record(); len(got.Optimizations) != 1 {
+		t.Fatalf("re-recorded baseline optimizations = %+v, want its own log kept", got.Optimizations)
+	}
+}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,12 @@ func TestAffinityPullsPartnersTogether(t *testing.T) {
 
 func TestIdentityBaselineErrorsOnBadBlockSize(t *testing.T) {
 	if _, err := IdentityBaseline(mkTrace(0), 3); err == nil {
+		t.Fatal("want error")
+	}
+}
+
+func TestClusterErrorsOnInfiniteWeight(t *testing.T) {
+	if _, err := Cluster(mkTrace(0, 256), Config{BlockSize: 256, AffinityWeight: math.Inf(1)}); err == nil {
 		t.Fatal("want error")
 	}
 }

@@ -10,7 +10,8 @@ import (
 // hotPackages lists the packages whose loops are known allocation-bound
 // hot paths even without a //lint:hotpath marker: the replay loops the
 // profiling work behind BENCH_PR3/BENCH_PR6 keeps finding at the top of
-// the allocation profile. The marker is the preferred mechanism — it
+// the allocation profile, and the optimiser kernels behind E10, E1 and
+// E18 (BENCH_PR12). The marker is the preferred mechanism — it
 // travels with the package doc — but the list keeps the floor in place
 // if a marker is dropped in a refactor.
 var hotPackages = []string{
@@ -18,6 +19,9 @@ var hotPackages = []string{
 	"internal/trace",
 	"internal/partition",
 	"internal/memtech",
+	"internal/noc",
+	"internal/cluster",
+	"internal/testcomp",
 }
 
 // AnalyzerHotalloc flags allocation sources inside the loops of hot

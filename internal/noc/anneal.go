@@ -35,9 +35,11 @@ func MapAnneal(m Mesh, g *Graph, seed int64, iters int) (*MapResult, error) {
 		perm[tile] = ip
 	}
 
+	bw := newBWChecker(m, g)
+	routing := make([]Routing, len(g.Flows))
 	cost := func(mp []int) float64 {
 		c := float64(m.CommEnergy(g, mp))
-		if _, ok := m.CheckBandwidth(g, mp); !ok {
+		if !bw.check(mp, routing) {
 			c *= 10 // infeasibility penalty
 		}
 		return c
@@ -79,8 +81,7 @@ func MapAnneal(m Mesh, g *Graph, seed int64, iters int) (*MapResult, error) {
 			}
 		}
 	}
-	routing, ok := m.CheckBandwidth(g, bestMap)
-	if !ok {
+	if !bw.check(bestMap, routing) {
 		return nil, fmt.Errorf("noc: annealing found no bandwidth-feasible mapping")
 	}
 	return &MapResult{

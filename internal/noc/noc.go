@@ -16,10 +16,13 @@
 // deterministic routing (the "routing flexibility" of the title — it both
 // enlarges the feasible space and is deadlock-free for any mix, as XY and
 // YX flows use disjoint turn sets per virtual channel).
+//
+//lint:hotpath
 package noc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lpmem/internal/energy"
@@ -127,51 +130,145 @@ const (
 	YX
 )
 
-// linkID identifies a directed mesh link by its endpoints.
-type linkID struct{ from, to int }
+// Link directions out of a tile. The directed link leaving tile t in
+// direction d has index t*numDirs+d, so link loads fit a flat slice.
+const (
+	east  = iota // +x
+	west         // -x
+	south        // +y
+	north        // -y
+	numDirs
+)
 
-// walk appends the links of a route to fn.
-func (m Mesh) walk(src, dst int, r Routing, fn func(linkID)) {
-	x, y := m.coord(src)
+// appendRoute appends the link indices of the src->dst route under r.
+func (m Mesh) appendRoute(links []int, src, dst int, r Routing) []int {
+	sx, sy := m.coord(src)
 	dx, dy := m.coord(dst)
-	cur := src
-	stepX := func() {
-		nx := x + sign(dx-x)
-		next := y*m.W + nx
-		fn(linkID{cur, next})
-		x, cur = nx, next
-	}
-	stepY := func() {
-		ny := y + sign(dy-y)
-		next := ny*m.W + x
-		fn(linkID{cur, next})
-		y, cur = ny, next
-	}
 	if r == XY {
-		for x != dx {
-			stepX()
+		return m.yLeg(m.xLeg(links, sy, sx, dx), dx, sy, dy)
+	}
+	return m.xLeg(m.yLeg(links, sx, sy, dy), dy, sx, dx)
+}
+
+// xLeg appends the links of the straight run along row y from column x0
+// to column x1.
+func (m Mesh) xLeg(links []int, y, x0, x1 int) []int {
+	dir, step := east, 1
+	if x1 < x0 {
+		dir, step = west, -1
+	}
+	for x := x0; x != x1; x += step {
+		links = append(links, (y*m.W+x)*numDirs+dir)
+	}
+	return links
+}
+
+// yLeg appends the links of the straight run along column x from row y0
+// to row y1.
+func (m Mesh) yLeg(links []int, x, y0, y1 int) []int {
+	dir, step := south, 1
+	if y1 < y0 {
+		dir, step = north, -1
+	}
+	for y := y0; y != y1; y += step {
+		links = append(links, (y*m.W+x)*numDirs+dir)
+	}
+	return links
+}
+
+// bwChecker is the bandwidth feasibility test bound to one mesh and
+// graph. The flow order is sorted once, link loads live in a flat slice,
+// and each flow's routes are cached for its current endpoint tiles, so a
+// check, which runs at every branch-and-bound leaf, does not allocate and
+// only reroutes the flows whose endpoints moved since the last check.
+type bwChecker struct {
+	m     Mesh
+	flows []Flow
+	// order lists flow indices by decreasing bandwidth, index ascending
+	// on ties.
+	order []int
+	// load is the committed bandwidth per directed link.
+	load []float64
+	// routes[2*i+r] holds the links of flow i under route r between the
+	// endpoint tiles ends[2*i+r]; each has room for the longest route.
+	routes [][]int
+	ends   [][2]int
+}
+
+func newBWChecker(m Mesh, g *Graph) *bwChecker {
+	order := make([]int, len(g.Flows))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		fa, fb := g.Flows[order[a]], g.Flows[order[b]]
+		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
+		if fa.BW != fb.BW {
+			return fa.BW > fb.BW
 		}
-		for y != dy {
-			stepY()
-		}
-	} else {
-		for y != dy {
-			stepY()
-		}
-		for x != dx {
-			stepX()
-		}
+		return order[a] < order[b]
+	})
+	hops := m.W + m.H - 2
+	arena := make([]int, 2*len(g.Flows)*hops)
+	routes := make([][]int, 2*len(g.Flows))
+	ends := make([][2]int, len(routes))
+	for k := range routes {
+		routes[k] = arena[k*hops : k*hops : (k+1)*hops]
+		ends[k] = [2]int{-1, -1}
+	}
+	return &bwChecker{
+		m:      m,
+		flows:  g.Flows,
+		order:  order,
+		load:   make([]float64, m.Tiles()*numDirs),
+		routes: routes,
+		ends:   ends,
 	}
 }
 
-func sign(v int) int {
-	switch {
-	case v > 0:
-		return 1
-	case v < 0:
-		return -1
+// check reports whether the flows can be routed under mapping within link
+// capacities, writing the chosen route of each flow into routing. The
+// selection is greedy: flows in decreasing bandwidth order take XY if it
+// fits, else YX, else the mapping is infeasible.
+func (c *bwChecker) check(mapping []int, routing []Routing) bool {
+	clear(c.load)
+	for _, i := range c.order {
+		f := c.flows[i]
+		src, dst := mapping[f.Src], mapping[f.Dst]
+		r, path := XY, c.route(i, XY, src, dst)
+		if !c.fits(path, f.BW) {
+			r, path = YX, c.route(i, YX, src, dst)
+			if !c.fits(path, f.BW) {
+				return false
+			}
+		}
+		routing[i] = r
+		for _, l := range path {
+			c.load[l] += f.BW
+		}
 	}
-	return 0
+	return true
+}
+
+// route returns the links of flow i under r from tile src to tile dst.
+func (c *bwChecker) route(i int, r Routing, src, dst int) []int {
+	k := 2*i + int(r)
+	if c.ends[k] != [2]int{src, dst} {
+		c.ends[k] = [2]int{src, dst}
+		c.routes[k] = c.m.appendRoute(c.routes[k][:0], src, dst, r)
+	}
+	return c.routes[k]
+}
+
+// fits reports whether bw more on every link of path keeps within
+// capacity.
+func (c *bwChecker) fits(path []int, bw float64) bool {
+	for _, l := range path {
+		if c.load[l]+bw > c.m.LinkBW {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckBandwidth reports whether the flows of g under the mapping can be
@@ -180,45 +277,9 @@ func sign(v int) int {
 // flows in decreasing bandwidth order take XY if it fits, else YX, else
 // the mapping is infeasible.
 func (m Mesh) CheckBandwidth(g *Graph, mapping []int) ([]Routing, bool) {
-	load := make(map[linkID]float64)
-	idx := make([]int, len(g.Flows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := g.Flows[idx[a]], g.Flows[idx[b]]
-		//lint:allow floatcompare exact tie-break keeps the sort order deterministic
-		if fa.BW != fb.BW {
-			return fa.BW > fb.BW
-		}
-		return idx[a] < idx[b]
-	})
 	routing := make([]Routing, len(g.Flows))
-	fits := func(src, dst int, r Routing, bw float64) bool {
-		ok := true
-		m.walk(src, dst, r, func(l linkID) {
-			if load[l]+bw > m.LinkBW {
-				ok = false
-			}
-		})
-		return ok
-	}
-	commit := func(src, dst int, r Routing, bw float64) {
-		m.walk(src, dst, r, func(l linkID) { load[l] += bw })
-	}
-	for _, i := range idx {
-		f := g.Flows[i]
-		src, dst := mapping[f.Src], mapping[f.Dst]
-		switch {
-		case fits(src, dst, XY, f.BW):
-			routing[i] = XY
-			commit(src, dst, XY, f.BW)
-		case fits(src, dst, YX, f.BW):
-			routing[i] = YX
-			commit(src, dst, YX, f.BW)
-		default:
-			return nil, false
-		}
+	if !newBWChecker(m, g).check(mapping, routing) {
+		return nil, false
 	}
 	return routing, true
 }
@@ -273,12 +334,15 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 		adj[f.Dst] = append(adj[f.Dst], f)
 	}
 
-	// Initial incumbent: greedy row-major if feasible, else +inf.
+	// Initial incumbent: greedy row-major if feasible, else +inf. The
+	// leaf check writes into one routing scratch that is copied only when
+	// it becomes the incumbent's.
+	bw := newBWChecker(m, g)
+	routing := make([]Routing, len(g.Flows))
 	best := &MapResult{Energy: energy.PJ(1e30)}
-	if rm := RowMajor(g.N); true {
-		if routing, ok := m.CheckBandwidth(g, rm); ok {
-			best = &MapResult{Mapping: append([]int(nil), rm...), Routing: routing, Energy: m.CommEnergy(g, rm)}
-		}
+	rm := RowMajor(g.N)
+	if bw.check(rm, routing) {
+		best = &MapResult{Mapping: rm, Routing: slices.Clone(routing), Energy: m.CommEnergy(g, rm)}
 	}
 
 	mapping := make([]int, g.N)
@@ -288,7 +352,38 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 	usedTile := make([]bool, m.Tiles())
 	var visited uint64
 
+	// Lower-bound terms for the flows not yet fully placed: each costs at
+	// least volume*e_bit(1), since 0 hops is impossible between distinct
+	// tiles. Which flows count depends only on the depth, because IPs
+	// are placed in a fixed order, so the terms are listed once per depth
+	// (bound[at[pos]:at[pos+1]]) and summed in the same sequence at every
+	// node.
 	minBit := m.BitEnergy(1) // cheapest possible non-zero-hop cost
+	posOf := make([]int, g.N)
+	for pos, ip := range order {
+		posOf[ip] = pos
+	}
+	at := make([]int, g.N+1)
+	// Each depth lists every flow at most once.
+	bound := make([]energy.PJ, 0, g.N*len(g.Flows))
+	for pos := 0; pos < g.N; pos++ {
+		for p2 := pos + 1; p2 < g.N; p2++ {
+			u := order[p2]
+			for _, f := range adj[u] {
+				other := f.Src
+				if other == u {
+					other = f.Dst
+				}
+				// Count half-placed flows once (from their unplaced
+				// endpoint) and unplaced-unplaced flows once (from the
+				// smaller-index endpoint).
+				if posOf[other] <= pos || u < other {
+					bound = append(bound, energy.PJ(f.Volume)*minBit)
+				}
+			}
+		}
+		at[pos+1] = len(bound)
+	}
 
 	var dfs func(pos int, cost energy.PJ)
 	dfs = func(pos int, cost energy.PJ) {
@@ -300,10 +395,10 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 			return
 		}
 		if pos == g.N {
-			if routing, ok := m.CheckBandwidth(g, mapping); ok {
+			if bw.check(mapping, routing) {
 				best = &MapResult{
-					Mapping: append([]int(nil), mapping...),
-					Routing: routing,
+					Mapping: slices.Clone(mapping),
+					Routing: slices.Clone(routing),
 					Energy:  cost,
 				}
 			}
@@ -335,24 +430,8 @@ func MapBnB(m Mesh, g *Graph, maxNodes uint64) (*MapResult, error) {
 				}
 			}
 			lb := cost + inc
-			// Lower-bound the flows with exactly one endpoint placed
-			// among remaining IPs: each costs at least volume*e_bit(1)
-			// unless endpoints could be adjacent... 0 hops impossible
-			// (distinct tiles), so 1 hop is admissible.
-			for p2 := pos + 1; p2 < g.N; p2++ {
-				u := order[p2]
-				for _, f := range adj[u] {
-					other := f.Src
-					if other == u {
-						other = f.Dst
-					}
-					// Count half-placed flows once (from their unplaced
-					// endpoint) and unplaced-unplaced flows once (from
-					// the smaller-index endpoint).
-					if mapping[other] >= 0 || u < other {
-						lb += energy.PJ(f.Volume) * minBit
-					}
-				}
+			for _, b := range bound[at[pos]:at[pos+1]] {
+				lb += b
 			}
 			if lb < best.Energy {
 				dfs(pos+1, cost+inc)

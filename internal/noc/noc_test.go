@@ -44,7 +44,7 @@ func TestWalkLengthsEqualManhattan(t *testing.T) {
 		dst := int(b) % m.Tiles()
 		for _, r := range []Routing{XY, YX} {
 			n := 0
-			m.walk(src, dst, r, func(linkID) { n++ })
+			refWalk(m, src, dst, r, func(linkID) { n++ })
 			if n != m.dist(src, dst) {
 				return false
 			}
@@ -81,7 +81,7 @@ func TestRoutingFlexibilityExpandsFeasibility(t *testing.T) {
 	// checking that both XY routes share link 0->1.
 	shared := map[linkID]int{}
 	for _, f := range g.Flows {
-		m.walk(mapping[f.Src], mapping[f.Dst], XY, func(l linkID) { shared[l]++ })
+		refWalk(m, mapping[f.Src], mapping[f.Dst], XY, func(l linkID) { shared[l]++ })
 	}
 	if shared[linkID{0, 1}] != 2 {
 		t.Fatal("test premise broken: XY routes should share link 0->1")

@@ -13,6 +13,8 @@
 //
 // The LZW codec is a real encoder/decoder pair (property-tested lossless);
 // patterns are ternary strings over {0, 1, X}.
+//
+//lint:hotpath
 package testcomp
 
 import (
@@ -52,8 +54,9 @@ func (p Pattern) CareDensity() float64 {
 func Generate(seed int64, n, length int, careDensity float64) []Pattern {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Pattern, n)
+	cells := make(Pattern, n*length)
 	for i := range out {
-		p := make(Pattern, length)
+		p := cells[i*length : (i+1)*length : (i+1)*length]
 		for j := range p {
 			p[j] = X
 		}
@@ -106,7 +109,12 @@ func (f FillPolicy) String() string {
 // stream (8 cells per byte, MSB first).
 func Fill(patterns []Pattern, policy FillPolicy, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	var bits []byte
+	cells := 0
+	for _, p := range patterns {
+		cells += len(p)
+	}
+	out := make([]byte, (cells+7)/8)
+	i := 0
 	last := byte(0)
 	for _, p := range patterns {
 		for _, c := range p {
@@ -127,95 +135,87 @@ func Fill(patterns []Pattern, policy FillPolicy, seed int64) []byte {
 				}
 			}
 			last = b
-			bits = append(bits, b)
-		}
-	}
-	// Pack.
-	out := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b == 1 {
-			out[i/8] |= 1 << uint(7-i%8)
+			out[i/8] |= b << uint(7-i%8)
+			i++
 		}
 	}
 	return out
 }
+
+// lzwMaxCodes is the 12-bit LZW dictionary size; both sides reset to the
+// 256 single-byte codes when it fills.
+const lzwMaxCodes = 1 << 12
 
 // LZWEncode compresses data with a 12-bit-code LZW dictionary (reset when
 // full), returning the code stream.
 func LZWEncode(data []byte) []uint16 {
-	const maxCodes = 1 << 12
-	dict := make(map[string]uint16, maxCodes)
-	for i := 0; i < 256; i++ {
-		dict[string([]byte{byte(i)})] = uint16(i)
+	if len(data) == 0 {
+		return nil
 	}
+	// Every dictionary string is a shorter one plus a byte, so the
+	// dictionary maps (prefix code, byte) to a code; the single bytes are
+	// implicit.
+	dict := make(map[uint32]uint16, lzwMaxCodes)
 	next := uint16(256)
-	var out []uint16
-	var cur []byte
-	for _, b := range data {
-		ext := append(cur, b)
-		if _, ok := dict[string(ext)]; ok {
-			cur = ext
+	out := make([]uint16, 0, len(data)/4+1)
+	cur := uint16(data[0])
+	for _, b := range data[1:] {
+		key := uint32(cur)<<8 | uint32(b)
+		if code, ok := dict[key]; ok {
+			cur = code
 			continue
 		}
-		out = append(out, dict[string(cur)])
-		if int(next) < maxCodes {
-			dict[string(ext)] = next
+		out = append(out, cur)
+		if next < lzwMaxCodes {
+			dict[key] = next
 			next++
 		} else {
 			// Dictionary full: reset (keeps the decoder in sync).
-			dict = make(map[string]uint16, maxCodes)
-			for i := 0; i < 256; i++ {
-				dict[string([]byte{byte(i)})] = uint16(i)
-			}
+			clear(dict)
 			next = 256
 		}
-		cur = []byte{b}
+		cur = uint16(b)
 	}
-	if len(cur) > 0 {
-		out = append(out, dict[string(cur)])
-	}
-	return out
+	return append(out, cur)
 }
 
 // LZWDecode inverts LZWEncode.
 func LZWDecode(codes []uint16) ([]byte, error) {
-	const maxCodes = 1 << 12
-	dict := make(map[uint16][]byte, maxCodes)
-	reset := func() uint16 {
-		dict = make(map[uint16][]byte, maxCodes)
-		for i := 0; i < 256; i++ {
-			dict[uint16(i)] = []byte{byte(i)}
-		}
-		return 256
-	}
-	next := reset()
-	var out []byte
-	var prev []byte
+	// Each multi-byte entry is the previous entry plus the first byte of
+	// the one after it, and the decoder writes those two back to back, so
+	// every entry is a run of the output: code c is out[at[c]:at[c]+n[c]].
+	var at, n [lzwMaxCodes]int
+	next := 256
+	out := make([]byte, 0, 2*len(codes))
+	prevAt, prevN := 0, 0
 	for _, code := range codes {
-		var entry []byte
-		if e, ok := dict[code]; ok {
-			entry = append([]byte(nil), e...)
-		} else if int(code) == int(next) && len(prev) > 0 && int(next) < maxCodes {
+		start := len(out)
+		switch c := int(code); {
+		case c < 256:
+			out = append(out, byte(c))
+		case c < next:
+			out = append(out, out[at[c]:at[c]+n[c]]...)
+		case c == next && prevN > 0 && next < lzwMaxCodes:
 			// The classic KwKwK case: the code references the entry the
 			// encoder added in the same step.
-			entry = append(append([]byte(nil), prev...), prev[0])
-		} else {
+			out = append(out, out[prevAt:prevAt+prevN]...)
+			out = append(out, out[prevAt])
+		default:
 			return nil, fmt.Errorf("testcomp: invalid LZW code %d", code)
 		}
-		out = append(out, entry...)
 		// Pending dictionary add for the previous code — or the mirrored
 		// encoder reset when the dictionary is full. Right after a reset
 		// the encoder only ever emits single-byte codes (< 256), so
 		// resolving against the pre-reset dictionary above is safe.
-		if len(prev) > 0 {
-			if int(next) < maxCodes {
-				dict[next] = append(append([]byte(nil), prev...), entry[0])
+		if prevN > 0 {
+			if next < lzwMaxCodes {
+				at[next], n[next] = prevAt, prevN+1
 				next++
 			} else {
-				next = reset()
+				next = 256
 			}
 		}
-		prev = entry
+		prevAt, prevN = start, len(out)-start
 	}
 	return out, nil
 }
@@ -230,31 +230,82 @@ func Ratio(originalBytes int, codes []uint16) float64 {
 
 // --- Vector stitching (2C.1) ---
 
-// compatible reports whether the suffix of a starting at offset matches
-// the prefix of b on all cells where both are specified.
-func compatible(a, b Pattern, offset int) bool {
-	for i := offset; i < len(a) && i-offset < len(b); i++ {
-		ca, cb := a[i], b[i-offset]
-		if ca != X && cb != X && ca != cb {
+// planes is a pattern packed 64 cells to a word, cell i at bit i%64 of
+// word i/64: care has the bits of specified cells, val those of One
+// cells. Cells other than Zero and One count as X.
+type planes struct {
+	care, val []uint64
+	n         int
+}
+
+// packAll packs every pattern, all into one shared backing array.
+func packAll(ps []Pattern) []planes {
+	words := 0
+	for _, p := range ps {
+		words += 2 * ((len(p) + 63) / 64)
+	}
+	buf := make([]uint64, words)
+	out := make([]planes, len(ps))
+	for i, p := range ps {
+		w := (len(p) + 63) / 64
+		pl := planes{care: buf[:w:w], val: buf[w : 2*w : 2*w], n: len(p)}
+		buf = buf[2*w:]
+		for j, c := range p {
+			bit := uint64(1) << (j % 64)
+			switch c {
+			case Zero:
+				pl.care[j/64] |= bit
+			case One:
+				pl.care[j/64] |= bit
+				pl.val[j/64] |= bit
+			}
+		}
+		out[i] = pl
+	}
+	return out
+}
+
+// wordAt returns the 64 cells of x starting at cell off; cells past the
+// end read as zero.
+func wordAt(x []uint64, off int) uint64 {
+	w, s := off/64, uint(off%64)
+	v := x[w] >> s
+	if s != 0 && w+1 < len(x) {
+		v |= x[w+1] << (64 - s)
+	}
+	return v
+}
+
+// compatible reports whether the last k cells of a match the first k
+// cells of b on every cell where both are specified. The compared window
+// ends at the end of a, and cells past it read as X, so the last word
+// needs no mask.
+func compatible(a, b planes, k int) bool {
+	off := a.n - k
+	for i := 0; i < k; i += 64 {
+		if (wordAt(a.val, off+i)^b.val[i/64])&wordAt(a.care, off+i)&b.care[i/64] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// MaxOverlap returns the largest k such that the last k cells of a are
-// compatible with the first k cells of b.
-func MaxOverlap(a, b Pattern) int {
-	max := len(a)
-	if len(b) < max {
-		max = len(b)
-	}
-	for k := max; k > 0; k-- {
-		if compatible(a, b, len(a)-k) {
+// maxOverlap returns the largest k > floor such that the last k cells of
+// a are compatible with the first k cells of b, or 0 if there is none.
+func maxOverlap(a, b planes, floor int) int {
+	for k := min(a.n, b.n); k > max(floor, 0); k-- {
+		if compatible(a, b, k) {
 			return k
 		}
 	}
 	return 0
+}
+
+// MaxOverlap returns the largest k such that the last k cells of a are
+// compatible with the first k cells of b.
+func MaxOverlap(a, b Pattern) int {
+	pl := packAll([]Pattern{a, b})
+	return maxOverlap(pl[0], pl[1], 0)
 }
 
 // StitchResult reports the outcome of greedy stitching.
@@ -282,9 +333,15 @@ func (r StitchResult) Saving() float64 {
 // vector — that the next vector can overlap with.
 func Responses(patterns []Pattern, seed int64) []Pattern {
 	rng := rand.New(rand.NewSource(seed))
+	total := 0
+	for _, p := range patterns {
+		total += len(p)
+	}
+	cells := make(Pattern, total)
 	out := make([]Pattern, len(patterns))
 	for i, p := range patterns {
-		r := make(Pattern, len(p))
+		r := cells[:len(p):len(p)]
+		cells = cells[len(p):]
 		for j := range r {
 			r[j] = Cell(rng.Intn(2))
 		}
@@ -296,34 +353,38 @@ func Responses(patterns []Pattern, seed int64) []Pattern {
 // Stitch greedily orders the patterns to maximize the overlap between each
 // vector's capture response and the next vector's specified bits
 // (nearest-neighbour chaining starting from vector 0). Responses must be
-// index-aligned with patterns.
+// index-aligned with patterns. Each vector costs its own length in scan
+// cycles, less its overlap with the response before it.
 func Stitch(patterns, responses []Pattern) StitchResult {
 	n := len(patterns)
 	res := StitchResult{}
 	if n == 0 {
 		return res
 	}
-	length := len(patterns[0])
-	res.BaselineCycles = n * length
+	ps, rs := packAll(patterns), packAll(responses[:n])
+	for _, p := range patterns {
+		res.BaselineCycles += len(p)
+	}
 	used := make([]bool, n)
 	cur := 0
 	used[0] = true
-	res.Order = []int{0}
-	total := length
+	res.Order = make([]int, 1, n)
+	total := len(patterns[0])
 	for placed := 1; placed < n; placed++ {
 		best, bestOv := -1, -1
 		for j := 0; j < n; j++ {
 			if used[j] {
 				continue
 			}
-			ov := MaxOverlap(responses[cur], patterns[j])
+			// Only an overlap above the best so far can displace it.
+			ov := maxOverlap(rs[cur], ps[j], bestOv)
 			if ov > bestOv {
 				best, bestOv = j, ov
 			}
 		}
 		used[best] = true
 		res.Order = append(res.Order, best)
-		total += length - bestOv
+		total += len(patterns[best]) - bestOv
 		cur = best
 	}
 	res.StitchedCycles = total

@@ -3,6 +3,7 @@ package testcomp
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,35 @@ func TestStitchEmpty(t *testing.T) {
 	res := Stitch(nil, nil)
 	if res.BaselineCycles != 0 || res.StitchedCycles != 0 {
 		t.Fatal("empty stitch should be zero")
+	}
+}
+
+// TestStitchMixedLengths: every vector costs its own length. Here the
+// responses are all 1s and the patterns all X, so each vector after the
+// first overlaps fully with the response before it, as far as the
+// shorter of the two reaches.
+func TestStitchMixedLengths(t *testing.T) {
+	ps := []Pattern{make(Pattern, 4), make(Pattern, 10), make(Pattern, 6)}
+	rs := make([]Pattern, len(ps))
+	for i, p := range ps {
+		for j := range p {
+			p[j] = X
+		}
+		rs[i] = make(Pattern, len(p))
+		for j := range rs[i] {
+			rs[i][j] = One
+		}
+	}
+	res := Stitch(ps, rs)
+	// Order 0, 1, 2: vector 1 overlaps 4 cells of response 0 (6 new
+	// cycles), vector 2 overlaps 6 cells of response 1 (0 new cycles).
+	if want := []int{0, 1, 2}; !slices.Equal(res.Order, want) {
+		t.Fatalf("order = %v, want %v", res.Order, want)
+	}
+	if res.BaselineCycles != 20 {
+		t.Errorf("baseline = %d cycles, want 4+10+6 = 20", res.BaselineCycles)
+	}
+	if res.StitchedCycles != 10 {
+		t.Errorf("stitched = %d cycles, want 4+6+0 = 10", res.StitchedCycles)
 	}
 }
