@@ -68,7 +68,7 @@ func runE8() (*Result, error) {
 	table := stats.NewTable("app", "off-chip", "static", "lifetime", "lifetime/static")
 	var ratios []float64
 	for i, parts := range combos {
-		merged := trace.New(1 << 16)
+		traces := make([]*trace.Trace, 0, len(parts))
 		var regions []hier.Region
 		for _, p := range parts {
 			k, err := workloads.ByName(p)
@@ -80,14 +80,12 @@ func runE8() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, a := range res.Trace.Accesses {
-				merged.Append(a)
-			}
+			traces = append(traces, res.Trace)
 			for _, arr := range inst.Arrays {
 				regions = append(regions, hier.Region{Name: p + "." + arr.Name, Base: arr.Base, Size: arr.Size})
 			}
 		}
-		infos := hier.Profile(merged, regions)
+		infos := hier.Profile(concatTraces(traces), regions)
 		off, static, lifetime, err := hier.Evaluate(infos, layers)
 		if err != nil {
 			return nil, err

@@ -257,7 +257,7 @@ func compositeApps(seed int64) ([]appTrace, error) {
 	}
 	var out []appTrace
 	for _, c := range combos {
-		merged := trace.New(1 << 16)
+		parts := make([]*trace.Trace, 0, len(c.parts))
 		var cycles uint64
 		for _, p := range c.parts {
 			k, err := workloads.ByName(p)
@@ -268,14 +268,26 @@ func compositeApps(seed int64) ([]appTrace, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, a := range res.Trace.Accesses {
-				merged.Append(a)
-			}
+			parts = append(parts, res.Trace)
 			cycles += res.Cycles
 		}
-		out = append(out, appTrace{name: c.name, trace: transformedTrace(merged), cycles: cycles})
+		out = append(out, appTrace{name: c.name, trace: transformedTrace(concatTraces(parts)), cycles: cycles})
 	}
 	return out, nil
+}
+
+// concatTraces joins traces end to end into one trace allocated at the
+// summed length, instead of regrowing it access by access.
+func concatTraces(parts []*trace.Trace) *trace.Trace {
+	n := 0
+	for _, t := range parts {
+		n += t.Len()
+	}
+	merged := trace.New(n)
+	for _, t := range parts {
+		merged.Accesses = append(merged.Accesses, t.Accesses...)
+	}
+	return merged
 }
 
 // profileApps synthesizes address profiles with the statistical shape of

@@ -74,6 +74,7 @@ func RandomCTG(seed int64, layers, perLayer, nConds int, deadlineSlack float64) 
 			if l > 0 {
 				prevStart := (l - 1) * perLayer
 				for d := 0; d < 1+rng.Intn(2); d++ {
+					//lint:allow hotalloc generator output: each task owns its one or two deps
 					deps = append(deps, prevStart+rng.Intn(perLayer))
 				}
 			}

@@ -17,10 +17,15 @@
 // Energy model: lowering the supply voltage stretches a task by a factor
 // s >= 1 and scales its energy by 1/s² (E ∝ V², V ∝ f). A task's nominal
 // energy is Power × WCET.
+//
+//lint:hotpath
 package ctg
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -73,6 +78,7 @@ type sched struct {
 	order     []int
 	succ      [][]int
 	prio      []float64
+	byPrio    []int
 	scenarios []Scenario
 	err       error
 
@@ -85,6 +91,7 @@ type sched struct {
 
 // scheduler builds (once) and returns the graph's cached invariants.
 func (g *Graph) scheduler() *sched {
+	//lint:allow hotalloc the closure runs once per graph and does not escape
 	g.schedOnce.Do(func() {
 		s := &sched{}
 		s.order, s.err = g.topo()
@@ -110,6 +117,15 @@ func (g *Graph) scheduler() *sched {
 				}
 			}
 		}
+		// Makespan's pick order: priority descending, ties to the
+		// lower index, exactly the argmax its readiness scan needs.
+		s.byPrio = make([]int, n)
+		for i := range s.byPrio {
+			s.byPrio[i] = i
+		}
+		sort.SliceStable(s.byPrio, func(a, b int) bool {
+			return s.prio[s.byPrio[a]] > s.prio[s.byPrio[b]]
+		})
 		s.scenarios = g.Scenarios()
 		s.done = make([]bool, n)
 		s.active = make([]bool, n)
@@ -119,7 +135,8 @@ func (g *Graph) scheduler() *sched {
 	return g.sched
 }
 
-// Validate checks structural sanity (indices, probabilities, acyclicity).
+// Validate checks structural sanity (indices, probabilities, acyclicity)
+// and that every WCET, power, probability and the deadline is finite.
 func (g *Graph) Validate() error {
 	if len(g.Deps) != len(g.Tasks) {
 		return fmt.Errorf("ctg: deps size %d != tasks %d", len(g.Deps), len(g.Tasks))
@@ -132,17 +149,20 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for i, t := range g.Tasks {
-		if t.WCET <= 0 || t.Power <= 0 {
-			return fmt.Errorf("ctg: task %d needs positive WCET and Power", i)
+		if !finite(t.WCET) || !finite(t.Power) || t.WCET <= 0 || t.Power <= 0 {
+			return fmt.Errorf("ctg: task %d needs finite positive WCET and Power, got %v and %v", i, t.WCET, t.Power)
 		}
 		if t.Guard.Var != NoCond && (t.Guard.Var < 0 || t.Guard.Var >= len(g.CondProb)) {
 			return fmt.Errorf("ctg: task %d guard on unknown condition %d", i, t.Guard.Var)
 		}
 	}
 	for _, p := range g.CondProb {
-		if p < 0 || p > 1 {
+		if !finite(p) || p < 0 || p > 1 {
 			return fmt.Errorf("ctg: condition probability %f out of range", p)
 		}
+	}
+	if !finite(g.Deadline) {
+		return fmt.Errorf("ctg: deadline %v is not finite", g.Deadline)
 	}
 	if _, err := g.topo(); err != nil {
 		return err
@@ -150,10 +170,19 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor infinite; NaN compares
+// false against every bound, so range checks alone let it through.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // topo returns a topological order or an error on cycles.
 func (g *Graph) topo() ([]int, error) {
 	n := len(g.Tasks)
-	indeg := make([]int, n)
+	// One backing for the in-degrees, the ready queue and the order: each
+	// task enters the queue once, so neither outgrows n.
+	//lint:allow hotalloc per-call O(tasks) setup; topo runs once per Validate and once per graph
+	buf := make([]int, 3*n)
+	indeg, queue, order := buf[:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
+	//lint:allow hotalloc per-call O(tasks) setup; topo runs once per Validate and once per graph
 	succ := make([][]int, n)
 	for i, deps := range g.Deps {
 		for _, d := range deps {
@@ -161,13 +190,11 @@ func (g *Graph) topo() ([]int, error) {
 			succ[d] = append(succ[d], i)
 		}
 	}
-	var queue []int
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, i)
 		}
 	}
-	var order []int
 	for len(queue) > 0 {
 		// Smallest index first for determinism.
 		sort.Ints(queue)
@@ -196,9 +223,12 @@ type Scenario struct {
 // Scenarios enumerates all condition combinations with probabilities.
 func (g *Graph) Scenarios() []Scenario {
 	n := len(g.CondProb)
+	//lint:allow hotalloc the result: one slice of scenarios per call
 	out := make([]Scenario, 0, 1<<n)
+	//lint:allow hotalloc the result: every scenario's outcomes share one backing
+	outcomes := make([]bool, n<<n)
 	for mask := 0; mask < 1<<n; mask++ {
-		s := Scenario{Outcomes: make([]bool, n), Prob: 1}
+		s := Scenario{Outcomes: outcomes[mask*n : (mask+1)*n : (mask+1)*n], Prob: 1}
 		for v := 0; v < n; v++ {
 			if mask>>v&1 == 1 {
 				s.Outcomes[v] = true
@@ -221,7 +251,15 @@ func (g *Graph) Active(i int, sc Scenario) bool {
 // Makespan list-schedules the active tasks of a scenario onto processors
 // (mapping[i] = processor) with the given per-task stretch factors, and
 // returns the completion time. Priorities are longest-path lengths at
-// nominal WCET; the policy is deterministic.
+// nominal WCET; the policy is deterministic: each step starts the ready
+// active task with the highest priority, ties to the lowest index.
+//
+// The scheduler walks the precomputed (priority desc, index asc) order
+// and picks the first ready task in it, which is that argmax for every
+// graph without NaN WCETs. The walk resumes at the first unscheduled
+// task, and that task is ready unless a predecessor ties it on priority
+// (a WCET absorbed in rounding), so a schedule costs O(tasks + deps)
+// instead of a full rescan per pick.
 func (g *Graph) Makespan(mapping []int, procs int, stretch []float64, sc Scenario) float64 {
 	n := len(g.Tasks)
 	s := g.scheduler()
@@ -229,51 +267,47 @@ func (g *Graph) Makespan(mapping []int, procs int, stretch []float64, sc Scenari
 		// Only possible with a cycle, excluded by Validate.
 		return 1e18
 	}
-	prio := s.prio
 
-	// Ready-list scheduling over the reusable scratch state.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done, active, finish := s.done, s.active, s.finish
 	if cap(s.procFree) < procs {
+		//lint:allow hotalloc reused scratch, regrown only for a processor count above every earlier call's
 		s.procFree = make([]float64, procs)
 	}
 	procFree := s.procFree[:procs]
 	for i := range procFree {
 		procFree[i] = 0
 	}
-	remaining := 0
 	for i := 0; i < n; i++ {
 		finish[i] = 0
-		if g.Active(i, sc) {
-			active[i] = true
-			done[i] = false
-			remaining++
-		} else {
-			active[i] = false
-			done[i] = true
-		}
+		// Inactive tasks count as done, so readiness only looks at done.
+		active[i] = g.Active(i, sc)
+		done[i] = !active[i]
 	}
-	for remaining > 0 {
-		// Pick the ready active task with the highest priority.
+	head := 0
+	for {
+		for head < n && done[s.byPrio[head]] {
+			head++
+		}
+		if head == n {
+			break
+		}
 		best := -1
-		for i := 0; i < n; i++ {
-			if done[i] || !active[i] {
+		for _, i := range s.byPrio[head:] {
+			if done[i] {
 				continue
 			}
 			ready := true
 			for _, d := range g.Deps[i] {
-				if active[d] && !done[d] {
+				if !done[d] {
 					ready = false
 					break
 				}
 			}
-			if !ready {
-				continue
-			}
-			//lint:allow floatcompare exact equality only breaks argmax ties deterministically by index
-			if best < 0 || prio[i] > prio[best] || (prio[i] == prio[best] && i < best) {
+			if ready {
 				best = i
+				break
 			}
 		}
 		if best < 0 {
@@ -293,7 +327,6 @@ func (g *Graph) Makespan(mapping []int, procs int, stretch []float64, sc Scenari
 		finish[best] = start + g.Tasks[best].WCET*s
 		procFree[mapping[best]] = finish[best]
 		done[best] = true
-		remaining--
 	}
 	max := 0.0
 	for i := 0; i < n; i++ {
@@ -380,25 +413,27 @@ func (g *Graph) dvsBounded(mapping []int, procs int, maxRounds int) ([]float64, 
 	for i := range stretch {
 		stretch[i] = lo
 	}
-	// Greedy per-task refinement.
+	// Greedy per-task refinement. Each round orders the tasks by their
+	// current energy contribution, descending, ties to the lower index:
+	// a total order, so the sorted slice does not depend on where the
+	// previous round left it.
+	byEnergy := func(a, b int) int {
+		ea := g.Tasks[a].Power * g.Tasks[a].WCET / (stretch[a] * stretch[a])
+		eb := g.Tasks[b].Power * g.Tasks[b].WCET / (stretch[b] * stretch[b])
+		if c := cmp.Compare(eb, ea); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
 	const step = 1.05
 	improved := true
 	for rounds := 0; improved && rounds < maxRounds; rounds++ {
 		improved = false
-		// Order tasks by current energy contribution, descending.
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			ea := g.Tasks[idx[a]].Power * g.Tasks[idx[a]].WCET / (stretch[idx[a]] * stretch[idx[a]])
-			eb := g.Tasks[idx[b]].Power * g.Tasks[idx[b]].WCET / (stretch[idx[b]] * stretch[idx[b]])
-			//lint:allow floatcompare exact tie-break keeps the sort order deterministic
-			if ea != eb {
-				return ea > eb
-			}
-			return idx[a] < idx[b]
-		})
+		slices.SortFunc(idx, byEnergy)
 		for _, i := range idx {
 			old := stretch[i]
 			stretch[i] = old * step

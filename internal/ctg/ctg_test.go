@@ -160,3 +160,48 @@ func TestRandomCTGs(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsNonFinite: NaN and ±Inf compare false against every
+// bound, so range checks alone let them through; Validate must reject
+// them for every numeric field, and MapGA must surface the error.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	fields := map[string]func(g *Graph, v float64){
+		"WCET":     func(g *Graph, v float64) { g.Tasks[2].WCET = v },
+		"Power":    func(g *Graph, v float64) { g.Tasks[5].Power = v },
+		"CondProb": func(g *Graph, v float64) { g.CondProb[1] = v },
+		"Deadline": func(g *Graph, v float64) { g.Deadline = v },
+	}
+	for name, set := range fields {
+		for _, v := range bad {
+			g := CruiseController()
+			set(g, v)
+			if err := g.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", name, v)
+			}
+			if res, err := MapGA(g, 2, DefaultGAConfig()); err == nil {
+				t.Errorf("%s = %v: MapGA returned %+v and no error", name, v, res)
+			}
+		}
+	}
+}
+
+// TestMapGARejectsDegenerateInputs: population sizes below the two
+// elites and an empty (but valid) graph are reported as errors, not
+// panics.
+func TestMapGARejectsDegenerateInputs(t *testing.T) {
+	for _, pop := range []int{-1, 0, 1} {
+		cfg := DefaultGAConfig()
+		cfg.Population = pop
+		if _, err := MapGA(CruiseController(), 2, cfg); err == nil {
+			t.Errorf("population %d: want an error", pop)
+		}
+	}
+	empty := &Graph{Deadline: 1}
+	if err := empty.Validate(); err != nil {
+		t.Fatalf("empty graph should validate: %v", err)
+	}
+	if _, err := MapGA(empty, 2, DefaultGAConfig()); err == nil {
+		t.Error("empty graph: want an error")
+	}
+}

@@ -11,9 +11,9 @@ import (
 // hot paths even without a //lint:hotpath marker: the replay loops the
 // profiling work behind BENCH_PR3/BENCH_PR6 keeps finding at the top of
 // the allocation profile, and the optimiser kernels behind E10, E1 and
-// E18 (BENCH_PR12). The marker is the preferred mechanism — it
-// travels with the package doc — but the list keeps the floor in place
-// if a marker is dropped in a refactor.
+// E18 (BENCH_PR12) and E11 (BENCH_PR14). The marker is the preferred
+// mechanism — it travels with the package doc — but the list keeps the
+// floor in place if a marker is dropped in a refactor.
 var hotPackages = []string{
 	"internal/cache",
 	"internal/trace",
@@ -22,6 +22,7 @@ var hotPackages = []string{
 	"internal/noc",
 	"internal/cluster",
 	"internal/testcomp",
+	"internal/ctg",
 }
 
 // AnalyzerHotalloc flags allocation sources inside the loops of hot

@@ -18,6 +18,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,6 +158,30 @@ func pow2Ceil(v uint32) uint32 {
 	return p
 }
 
+// pruneChunk is the width of the aligned groups of split points that
+// Optimal bounds and skips as one; a power of two.
+const pruneChunk = 32
+
+// spans holds the prefix sums of the block read and write counts, as
+// integers and as floats.
+type spans struct {
+	r, w   []uint64
+	fr, fw []energy.PJ
+	// big is set when a total reaches 2^53, beyond which the float
+	// prefix sums are no longer exact integers.
+	big bool
+}
+
+// between returns the reads and writes of blocks [i,j) as floats,
+// exactly the conversion of the integer difference: below 2^53 every
+// float prefix sum is an exact integer, so their difference is exact.
+func (s *spans) between(i, j int) (energy.PJ, energy.PJ) {
+	if s.big {
+		return energy.PJ(s.r[j] - s.r[i]), energy.PJ(s.w[j] - s.w[i])
+	}
+	return s.fr[j] - s.fr[i], s.fw[j] - s.fw[i]
+}
+
 // bankEnergy computes the dynamic energy of serving the given counts from
 // a bank of the given physical size.
 func bankEnergy(m energy.MemoryModel, size uint32, reads, writes uint64) energy.PJ {
@@ -224,19 +249,42 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	// Per-length model memos: the energy of one bank holding l blocks
 	// depends only on l — and each model term hides a math.Pow — so the
 	// O(n²·K) cost evaluations of the DP need just n model evaluations.
+	// runLo[l] is the shortest length whose bank capacity (and so every
+	// model term) equals length l's: lengths group into O(log n) runs of
+	// one power-of-two capacity each, over which the DP hoists the terms.
+	// The same backing holds the float prefix sums and the per-chunk
+	// minima of the previous DP row.
 	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
-	memo := make([]energy.PJ, 3*(n+1))
-	readE, writeE, leakE := memo[:n+1], memo[n+1:2*(n+1)], memo[2*(n+1):]
+	memo := make([]energy.PJ, 5*(n+1)+n/pruneChunk+1)
+	readE, writeE, leakE := memo[:n+1], memo[n+1:2*(n+1)], memo[2*(n+1):3*(n+1)]
+	sums := spans{
+		r: preR, w: preW,
+		fr: memo[3*(n+1) : 4*(n+1)], fw: memo[4*(n+1) : 5*(n+1)],
+		big: preR[n] >= 1<<53 || preW[n] >= 1<<53,
+	}
+	for i := range preR {
+		sums.fr[i], sums.fw[i] = energy.PJ(preR[i]), energy.PJ(preW[i])
+	}
+	chunkMin := memo[5*(n+1):]
+	//lint:allow hotalloc O(n) setup amortised over the O(n²·K) DP below
+	runLo := make([]int, n+1)
+	var prevSize uint32
 	for l := 1; l <= n; l++ {
 		size := pow2Ceil(uint32(l) * spec.BlockSize)
 		readE[l] = m.ReadEnergy(size)
 		writeE[l] = m.WriteEnergy(size)
 		leakE[l] = m.Leakage(size, spec.Cycles)
+		runLo[l] = l
+		if l > 1 && size == prevSize {
+			runLo[l] = runLo[l-1]
+		}
+		prevSize = size
 	}
 
 	const inf = energy.PJ(1e30)
 	// dp[k][j]: min energy of splitting blocks [0,j) into exactly k
-	// banks; cut[k][j] the matching last boundary. Flat row-major tables.
+	// banks; cut[k][j] the matching last boundary, the lowest on ties.
+	// Flat row-major tables.
 	stride := n + 1
 	//lint:allow hotalloc O(n·K) DP table amortised over the O(n²·K) DP below
 	dp := make([]energy.PJ, (maxBanks+1)*stride)
@@ -249,21 +297,61 @@ func Optimal(spec *Spec, maxBanks int, m energy.MemoryModel) (*Partition, energy
 	for k := 1; k <= maxBanks; k++ {
 		prev, row := dp[(k-1)*stride:k*stride], dp[k*stride:(k+1)*stride]
 		cutRow := cut[k*stride : (k+1)*stride]
-		for j := 1; j <= n; j++ {
-			for i := k - 1; i < j; i++ {
-				if prev[i] >= inf {
-					continue
+		for c := range chunkMin {
+			lo := c * pruneChunk
+			chunkMin[c] = slices.Min(prev[lo:min(lo+pruneChunk, n+1)])
+		}
+		// Fewer than k blocks cannot fill k banks: row[j] stays inf.
+		for j := k; j <= n; j++ {
+			// cost(i,j) = prev[i] + energy of one bank holding blocks
+			// [i,j), leakage included (select overhead depends on the
+			// final bank count and is added per k below). The cell is
+			// the lowest i of minimum cost among costs below inf, and
+			// each cost is computed with the same operations in the
+			// same order as a plain scan would, so the table is
+			// bit-identical to one.
+			best, bestI := inf, -1
+			// The argmin at j-1 is usually close: start from it.
+			if i := cutRow[j-1]; j > k && i >= k-1 {
+				l := j - i
+				dr, dw := sums.between(i, j)
+				c := prev[i] + readE[l]*dr + writeE[l]*dw + leakE[l]
+				if c < best {
+					best, bestI = c, i
 				}
-				// cost(i,j): energy of one bank holding blocks [i,j),
-				// including its leakage (select overhead depends on the
-				// final bank count and is added per k below).
-				c := prev[i] + readE[j-i]*energy.PJ(preR[j]-preR[i]) +
-					writeE[j-i]*energy.PJ(preW[j]-preW[i]) +
-					leakE[j-i]
-				if c < row[j] {
-					row[j] = c
-					cutRow[j] = i
+			}
+			for i := k - 1; i < j; {
+				l := j - i
+				last := j - runLo[l] // last i with length l's capacity
+				re, we, le := readE[l], writeE[l], leakE[l]
+				for i <= last {
+					// Skip an aligned chunk of i when even its lower
+					// bound — its least prev and its fewest accesses,
+					// priced with the chunk's shared, positive model
+					// terms — cannot beat the incumbent or tie it at a
+					// lower index. IEEE + and × are monotone, so no
+					// skipped cost is below the bound.
+					end := min(i|(pruneChunk-1), last)
+					dr, dw := sums.between(end, j)
+					lb := chunkMin[i/pruneChunk] + re*dr + we*dw + le
+					//lint:allow floatcompare an exact tie decides by index, as the plain scan's strict < does
+					if lb > best || (lb == best && i > bestI) {
+						i = end + 1
+						continue
+					}
+					for ; i <= end; i++ {
+						dr, dw := sums.between(i, j)
+						c := prev[i] + re*dr + we*dw + le
+						//lint:allow floatcompare an exact tie decides by index, as the plain scan's strict < does
+						if c < best || (c == best && i < bestI) {
+							best, bestI = c, i
+						}
+					}
 				}
+			}
+			row[j] = best
+			if bestI >= 0 {
+				cutRow[j] = bestI
 			}
 		}
 	}
