@@ -36,7 +36,7 @@ import (
 // defaultBaseline is the committed perf file that -check compares
 // against; a change that re-records into a BENCH_PR<n>.json of its own
 // updates this default, and the new file inherits its optimization log.
-const defaultBaseline = "BENCH_PR14.json"
+const defaultBaseline = "BENCH_PR15.json"
 
 const defaultGoldenDir = "testdata/golden"
 

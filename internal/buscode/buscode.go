@@ -8,6 +8,8 @@
 // the shielded code buys its integrity guarantee). Costs are measured by
 // Measure: self transitions, opposite-direction adjacent-line coupling
 // events, bus cycles and physical line count.
+//
+//lint:hotpath
 package buscode
 
 import (
@@ -29,8 +31,7 @@ type Encoder interface {
 	Reset()
 }
 
-// Measure drives the word stream through the encoder and accounts the
-// physical activity.
+// Measurement is the physical activity of one word stream on a bus.
 type Measurement struct {
 	// Transitions is the total number of line toggles.
 	Transitions uint64
@@ -52,30 +53,41 @@ func (m Measurement) PerfOverhead(words int) float64 {
 	return float64(m.Cycles)/float64(words) - 1
 }
 
-// Measure runs words through enc and returns the accounting.
+// Measure drives the word stream through enc and accounts the physical
+// activity. Patterns are consumed as each word is encoded, and a cycle's
+// couplings are counted for all adjacent line pairs at once.
 func Measure(enc Encoder, words []uint32) Measurement {
 	enc.Reset()
-	var patterns []uint64
+	lines := enc.Lines()
+	m := Measurement{Lines: lines}
+	pairs := pairMask(lines)
+	var buf [4]uint64 // the patterns of one word; Shielded emits at most two
+	var prev uint64
 	for _, w := range words {
-		patterns = enc.Encode(patterns, w)
-	}
-	m := Measurement{Cycles: uint64(len(patterns)), Lines: enc.Lines()}
-	for i := 1; i < len(patterns); i++ {
-		prev, cur := patterns[i-1], patterns[i]
-		m.Transitions += uint64(bits.OnesCount64(prev ^ cur))
-		rise := ^prev & cur
-		fall := prev & ^cur
-		for l := 0; l < enc.Lines()-1; l++ {
-			a := rise>>uint(l)&1 == 1
-			b := fall>>uint(l+1)&1 == 1
-			c := fall>>uint(l)&1 == 1
-			d := rise>>uint(l+1)&1 == 1
-			if (a && b) || (c && d) {
-				m.Couplings++
+		for _, cur := range enc.Encode(buf[:0], w) {
+			if m.Cycles > 0 {
+				m.Transitions += uint64(bits.OnesCount64(prev ^ cur))
+				rise := ^prev & cur
+				fall := prev & ^cur
+				// Bit l is set when lines l and l+1 toggle in opposite
+				// directions.
+				m.Couplings += uint64(bits.OnesCount64((rise&(fall>>1) | fall&(rise>>1)) & pairs))
 			}
+			prev = cur
+			m.Cycles++
 		}
 	}
 	return m
+}
+
+// pairMask has bit l set for each adjacent line pair (l, l+1) of a
+// lines-wide bus. From 65 lines on, the shift yields 0 and the mask
+// covers all 64 pattern bits.
+func pairMask(lines int) uint64 {
+	if lines < 2 {
+		return 0
+	}
+	return 1<<uint(lines-1) - 1
 }
 
 // Binary is the unencoded baseline.

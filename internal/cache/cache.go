@@ -112,31 +112,65 @@ func (NullBacking) ReadLine(_ uint32, dst []byte) {
 // WriteLine discards the line.
 func (NullBacking) WriteLine(uint32, []byte) {}
 
-// MapBacking is a simple sparse backing store.
+// backingPage is the MapBacking page size in bytes.
+const backingPage = 1 << 12
+
+// MapBacking is a sparse backing store of 4 KiB pages, allocated on the
+// first write; unwritten bytes read as zero.
 type MapBacking struct {
-	m map[uint32]byte
+	pages map[uint32]*[backingPage]byte
 }
 
 // NewMapBacking returns an empty sparse backing store.
-func NewMapBacking() *MapBacking { return &MapBacking{m: make(map[uint32]byte)} }
+func NewMapBacking() *MapBacking {
+	return &MapBacking{pages: make(map[uint32]*[backingPage]byte)}
+}
+
+// span returns the page offset of addr and how many of n bytes from addr
+// lie in its page.
+func span(addr uint32, n int) (off uint32, k int) {
+	off = addr & (backingPage - 1)
+	return off, min(n, int(backingPage-off))
+}
 
 // ReadLine copies the line at addr into dst.
 func (b *MapBacking) ReadLine(addr uint32, dst []byte) {
-	for i := range dst {
-		dst[i] = b.m[addr+uint32(i)]
+	for len(dst) > 0 {
+		off, k := span(addr, len(dst))
+		if p := b.pages[addr-off]; p != nil {
+			copy(dst[:k], p[off:])
+		} else {
+			clear(dst[:k])
+		}
+		dst = dst[k:]
+		addr += uint32(k)
 	}
 }
 
 // WriteLine stores the line at addr.
 func (b *MapBacking) WriteLine(addr uint32, src []byte) {
-	for i, v := range src {
-		b.m[addr+uint32(i)] = v
+	for len(src) > 0 {
+		off, k := span(addr, len(src))
+		copy(b.page(addr - off)[off:], src[:k])
+		src = src[k:]
+		addr += uint32(k)
 	}
 }
 
 // StoreByte stores a single byte (used to pre-load images).
 func (b *MapBacking) StoreByte(addr uint32, v byte) {
-	b.m[addr] = v
+	off := addr & (backingPage - 1)
+	b.page(addr - off)[off] = v
+}
+
+// page returns the page at base, allocating it on first use.
+func (b *MapBacking) page(base uint32) *[backingPage]byte {
+	p := b.pages[base]
+	if p == nil {
+		p = new([backingPage]byte)
+		b.pages[base] = p
+	}
+	return p
 }
 
 // Cache is the simulator proper.

@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"lpmem/internal/trace"
 )
@@ -21,33 +23,52 @@ const pageSize = 1 << 12
 // The zero value is ready to use.
 type Memory struct {
 	pages map[uint32]*[pageSize]byte
+	// last and lastBase cache the most recently used page: kernels walk
+	// arrays and the stack, so most accesses hit the page of the one
+	// before.
+	last     *[pageSize]byte
+	lastBase uint32
 }
 
 func (m *Memory) page(addr uint32) *[pageSize]byte {
+	base := addr &^ (pageSize - 1)
+	if m.last != nil && m.lastBase == base {
+		return m.last
+	}
+	return m.lookup(base)
+}
+
+// lookup returns the page at base, allocating it on first use, and makes
+// it the cached page.
+func (m *Memory) lookup(base uint32) *[pageSize]byte {
 	if m.pages == nil {
+		//lint:allow hotalloc once per Memory, on its first access
 		m.pages = make(map[uint32]*[pageSize]byte)
 	}
-	base := addr &^ (pageSize - 1)
 	p, ok := m.pages[base]
 	if !ok {
 		p = new([pageSize]byte)
 		m.pages[base] = p
 	}
+	m.last, m.lastBase = p, base
 	return p
 }
 
-// ReadByte returns the byte at addr (0 if never written).
+// LoadByte returns the byte at addr (0 if never written).
 func (m *Memory) LoadByte(addr uint32) byte {
 	return m.page(addr)[addr&(pageSize-1)]
 }
 
-// WriteByte stores b at addr.
+// StoreByte stores b at addr.
 func (m *Memory) StoreByte(addr uint32, b byte) {
 	m.page(addr)[addr&(pageSize-1)] = b
 }
 
 // ReadWord returns the little-endian 32-bit word at addr.
 func (m *Memory) ReadWord(addr uint32) uint32 {
+	if off := addr & (pageSize - 1); off <= pageSize-4 {
+		return binary.LittleEndian.Uint32(m.page(addr)[off:])
+	}
 	return uint32(m.LoadByte(addr)) |
 		uint32(m.LoadByte(addr+1))<<8 |
 		uint32(m.LoadByte(addr+2))<<16 |
@@ -56,6 +77,10 @@ func (m *Memory) ReadWord(addr uint32) uint32 {
 
 // WriteWord stores v little-endian at addr.
 func (m *Memory) WriteWord(addr uint32, v uint32) {
+	if off := addr & (pageSize - 1); off <= pageSize-4 {
+		binary.LittleEndian.PutUint32(m.page(addr)[off:], v)
+		return
+	}
 	m.StoreByte(addr, byte(v))
 	m.StoreByte(addr+1, byte(v>>8))
 	m.StoreByte(addr+2, byte(v>>16))
@@ -109,9 +134,6 @@ type CPU struct {
 	PC uint32
 	// TextBase is where the program is mapped.
 	TextBase uint32
-	// Trace, when non-nil, receives one Access per instruction fetch and
-	// per data access.
-	Trace *trace.Trace
 	// Cycles accumulates the pipeline cost model.
 	Cycles uint64
 	// Instructions counts retired instructions.
@@ -120,6 +142,7 @@ type CPU struct {
 	prog    *Program
 	halted  bool
 	fetched []uint32 // encoded instruction words, index-aligned with prog
+	rec     recorder // active between StartTrace and TakeTrace
 }
 
 // NewCPU creates a CPU with the default memory map and the program mapped
@@ -170,9 +193,79 @@ func (c *CPU) Run(maxSteps int) error {
 	return ErrRunaway
 }
 
+// chunkLen is the number of accesses in one recording chunk.
+const chunkLen = 16 << 10
+
+type chunk [chunkLen]trace.Access
+
+// chunkPool recycles recording chunks across runs.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// recorder collects a run's accesses in fixed-size chunks, so the trace
+// is never copied while it grows; take copies it once into an
+// exact-length Trace.
+type recorder struct {
+	cur  *chunk   // chunk being filled; nil while not tracing
+	n    int      // accesses in cur
+	full []*chunk // filled chunks, oldest first
+}
+
+func (r *recorder) add(a trace.Access) {
+	if r.n == chunkLen {
+		r.spill()
+	}
+	r.cur[r.n] = a
+	r.n++
+}
+
+// spill retires the full current chunk and starts a fresh one.
+func (r *recorder) spill() {
+	r.full = append(r.full, r.cur)
+	r.cur = chunkPool.Get().(*chunk)
+	r.n = 0
+}
+
+// take returns the recorded accesses as one exact-length Trace and stops
+// recording.
+func (r *recorder) take() *trace.Trace {
+	out := make([]trace.Access, len(r.full)*chunkLen+r.n)
+	off := 0
+	for _, ch := range r.full {
+		off += copy(out[off:], ch[:])
+	}
+	if r.cur != nil {
+		copy(out[off:], r.cur[:r.n])
+	}
+	r.release()
+	return &trace.Trace{Accesses: out}
+}
+
+// release returns every chunk to the pool and stops recording.
+func (r *recorder) release() {
+	for i, ch := range r.full {
+		chunkPool.Put(ch)
+		r.full[i] = nil
+	}
+	if r.cur != nil {
+		chunkPool.Put(r.cur)
+	}
+	*r = recorder{full: r.full[:0]}
+}
+
+// StartTrace begins recording one Access per instruction fetch and per
+// data access, discarding anything recorded before.
+func (c *CPU) StartTrace() {
+	c.rec.release()
+	c.rec.cur = chunkPool.Get().(*chunk)
+}
+
+// TakeTrace stops recording and returns the accesses recorded since
+// StartTrace (none if it was not called).
+func (c *CPU) TakeTrace() *trace.Trace { return c.rec.take() }
+
 func (c *CPU) record(a trace.Access) {
-	if c.Trace != nil {
-		c.Trace.Append(a)
+	if c.rec.cur != nil {
+		c.rec.add(a)
 	}
 }
 
@@ -181,7 +274,11 @@ func (c *CPU) Step() error {
 	if c.halted {
 		return nil
 	}
-	idx := (c.PC - c.TextBase) / 4
+	off := c.PC - c.TextBase
+	if off%4 != 0 {
+		return fmt.Errorf("isa: misaligned PC %#x", c.PC)
+	}
+	idx := off / 4
 	if idx >= uint32(len(c.prog.Instrs)) {
 		return fmt.Errorf("isa: PC %#x outside program", c.PC)
 	}
@@ -337,12 +434,13 @@ func (c *CPU) Step() error {
 	return nil
 }
 
-// RunTraced is a convenience: it attaches a fresh trace, runs the program
-// to completion (up to maxSteps) and returns the trace.
+// RunTraced is a convenience: it records a fresh trace while running the
+// program to completion (up to maxSteps) and returns the trace.
 func (c *CPU) RunTraced(maxSteps int) (*trace.Trace, error) {
-	t := trace.New(4096)
-	c.Trace = t
-	if err := c.Run(maxSteps); err != nil {
+	c.StartTrace()
+	err := c.Run(maxSteps)
+	t := c.TakeTrace()
+	if err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -8,6 +8,8 @@
 // The package provides three pieces: an instruction set (this file), an
 // assembler with labels (asm.go) and an interpreter that executes programs
 // while emitting an instrumented memory trace (cpu.go).
+//
+//lint:hotpath
 package isa
 
 import "fmt"

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -222,6 +223,52 @@ func TestPCOutsideProgram(t *testing.T) {
 	cpu := NewCPU(b.MustAssemble())
 	if err := cpu.Run(10); err == nil {
 		t.Fatal("running off the end must error")
+	}
+}
+
+// TestMisalignedPC: a jump into the middle of an instruction word must
+// stop the run with an error, not re-execute the word below it.
+func TestMisalignedPC(t *testing.T) {
+	b := NewBuilder()
+	b.Movi(1, DefaultTextBase+6)
+	b.Jr(1)
+	b.Halt()
+	cpu := NewCPU(b.MustAssemble())
+	cpu.StartTrace()
+	err := cpu.Run(100)
+	if err == nil || errors.Is(err, ErrRunaway) {
+		t.Fatalf("err = %v, want a misaligned-PC error", err)
+	}
+	for _, a := range cpu.TakeTrace().Accesses {
+		if a.Kind == trace.Fetch && a.Addr%4 != 0 {
+			t.Fatalf("fetch recorded at misaligned address %#x", a.Addr)
+		}
+	}
+}
+
+// TestRecorderChunkBoundaries records runs of lengths around chunk
+// multiples on one CPU and checks each comes back whole, in order and
+// exact-length.
+func TestRecorderChunkBoundaries(t *testing.T) {
+	var c CPU
+	for _, n := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 7, 2} {
+		c.StartTrace()
+		for i := 0; i < n; i++ {
+			c.record(trace.Access{Addr: uint32(i), Value: uint32(n)})
+		}
+		got := c.TakeTrace().Accesses
+		if len(got) != n || cap(got) != n {
+			t.Fatalf("n=%d: len %d cap %d", n, len(got), cap(got))
+		}
+		for i, a := range got {
+			if a.Addr != uint32(i) || a.Value != uint32(n) {
+				t.Fatalf("n=%d: access %d = %+v", n, i, a)
+			}
+		}
+	}
+	c.record(trace.Access{Addr: 1})
+	if n := c.TakeTrace().Len(); n != 0 {
+		t.Fatalf("recorded %d accesses while not tracing", n)
 	}
 }
 

@@ -10,10 +10,12 @@ import (
 // hotPackages lists the packages whose loops are known allocation-bound
 // hot paths even without a //lint:hotpath marker: the replay loops the
 // profiling work behind BENCH_PR3/BENCH_PR6 keeps finding at the top of
-// the allocation profile, and the optimiser kernels behind E10, E1 and
-// E18 (BENCH_PR12) and E11 (BENCH_PR14). The marker is the preferred
-// mechanism — it travels with the package doc — but the list keeps the
-// floor in place if a marker is dropped in a refactor.
+// the allocation profile, the optimiser kernels behind E10, E1 and E18
+// (BENCH_PR12) and E11 (BENCH_PR14), and the trace recorder and bus
+// coupling count behind every kernel-driven experiment and E5/E6
+// (BENCH_PR15). The marker is the preferred mechanism — it travels with
+// the package doc — but the list keeps the floor in place if a marker is
+// dropped in a refactor.
 var hotPackages = []string{
 	"internal/cache",
 	"internal/trace",
@@ -23,6 +25,8 @@ var hotPackages = []string{
 	"internal/cluster",
 	"internal/testcomp",
 	"internal/ctg",
+	"internal/isa",
+	"internal/buscode",
 }
 
 // AnalyzerHotalloc flags allocation sources inside the loops of hot

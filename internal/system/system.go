@@ -77,9 +77,8 @@ func Run(inst *workloads.Instance, cfg Config) (*Result, error) {
 	if inst.Init != nil {
 		inst.Init(cpu)
 	}
-	tr := trace.New(4096)
-	cpu.Trace = tr
-	if err := cpu.Run(inst.MaxSteps); err != nil {
+	tr, err := cpu.RunTraced(inst.MaxSteps)
+	if err != nil {
 		return nil, fmt.Errorf("system: %s: %w", inst.Name, err)
 	}
 	if inst.Check != nil {

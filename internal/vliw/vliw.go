@@ -69,8 +69,7 @@ func Run(cfg Config, prog *isa.Program, init func(*isa.CPU), maxSteps int) (*Res
 	if init != nil {
 		init(cpu)
 	}
-	t := trace.New(4096)
-	cpu.Trace = t
+	cpu.StartTrace()
 
 	var (
 		cycle     uint64 // current bundle cycle
@@ -147,7 +146,7 @@ func Run(cfg Config, prog *isa.Program, init func(*isa.CPU), maxSteps int) (*Res
 		return nil, isa.ErrRunaway
 	}
 	return &Result{
-		Trace:        t,
+		Trace:        cpu.TakeTrace(),
 		Cycles:       cycle + 1,
 		Bundles:      bundles,
 		Instructions: cpu.Instructions,

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"errors"
 	"testing"
 
 	"lpmem/internal/isa"
@@ -86,5 +87,18 @@ func TestInvalidConfig(t *testing.T) {
 	p := b.MustAssemble()
 	if _, err := Run(Config{}, p, nil, 10); err == nil {
 		t.Fatal("zero config must be rejected")
+	}
+}
+
+// TestMisalignedPC: the scalar core's misaligned-PC error must end a
+// VLIW run too, instead of spinning until the step budget runs out.
+func TestMisalignedPC(t *testing.T) {
+	b := isa.NewBuilder()
+	b.Movi(1, isa.DefaultTextBase+6)
+	b.Jr(1)
+	b.Halt()
+	_, err := Run(LxConfig(), b.MustAssemble(), nil, 100)
+	if err == nil || errors.Is(err, isa.ErrRunaway) {
+		t.Fatalf("err = %v, want a misaligned-PC error", err)
 	}
 }
