@@ -275,22 +275,14 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.delay(r.Context())
-	key := lpmem.CacheKey(exp.ID)
-	if env, ok := s.storeGet(key); ok {
-		writeJSON(w, http.StatusOK, env)
-		return
-	}
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
-	reports := lpmem.RunBatch(ctx, s.eng, []lpmem.Experiment{exp})
-	env := reports[0].JSON()
+	envs, _ := s.serve(ctx, []lpmem.Experiment{exp}, nil)
 	status := http.StatusOK
-	if env.Error != "" {
+	if envs[0].Error != "" {
 		status = http.StatusInternalServerError
-	} else {
-		s.storePut(key, env)
 	}
-	writeJSON(w, status, env)
+	writeJSON(w, status, envs[0])
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -317,45 +309,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
 	start := time.Now()
-
-	// Serve whatever any replica already computed; run the rest.
-	envs := make([]lpmem.ResultJSON, len(exps))
-	var pending []int
-	for i, e := range exps {
-		if env, ok := s.storeGet(lpmem.CacheKey(e.ID)); ok {
-			envs[i] = env
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) > 0 {
-		pendingExps := make([]lpmem.Experiment, len(pending))
-		for j, i := range pending {
-			pendingExps[j] = exps[i]
-		}
-		reports := lpmem.RunBatch(ctx, s.eng, pendingExps)
-		for j, i := range pending {
-			envs[i] = reports[j].JSON()
-			if envs[i].Error == "" {
-				s.storePut(lpmem.CacheKey(exps[i].ID), envs[i])
-			}
-		}
-	}
-	failed := 0
-	for i := range envs {
-		if envs[i].Error != "" {
-			failed++
-		}
-	}
+	envs, _ := s.serve(ctx, exps, nil)
 	// Failures degrade, they don't take the batch down: every requested
 	// ID gets its own envelope (value or error), the batch-level status
 	// summarises, and only a fully failed batch maps to an error code.
-	status, httpStatus := "ok", http.StatusOK
-	switch {
-	case failed == len(envs) && failed > 0:
-		status, httpStatus = "failed", http.StatusBadGateway
-	case failed > 0:
-		status = "partial"
+	failed := failures(envs)
+	status, httpStatus := batchStatus(failed, len(envs)), http.StatusOK
+	if status == "failed" {
+		httpStatus = http.StatusBadGateway
 	}
 	writeJSON(w, httpStatus, map[string]interface{}{
 		"status":     status,
@@ -364,6 +325,71 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
 		"results":    envs,
 	})
+}
+
+// serve is the one experiment request path. It answers exps from the
+// shared result store where it can, runs the misses on the engine pool
+// and persists each fresh success; a request answered wholly from the
+// store never touches the engine. emit (nil = none) sees every envelope
+// as it settles: store hits first, in request order, then misses in
+// completion order, possibly from several pool workers at once. serve
+// returns the envelopes in request order and how many it persisted.
+func (s *Server) serve(ctx context.Context, exps []lpmem.Experiment, emit func(lpmem.ResultJSON)) ([]lpmem.ResultJSON, int) {
+	envs := make([]lpmem.ResultJSON, len(exps))
+	var pending []int
+	var missed []lpmem.Experiment
+	for i, e := range exps {
+		if env, ok := s.storeGet(lpmem.CacheKey(e.ID)); ok {
+			envs[i] = env
+			if emit != nil {
+				emit(env)
+			}
+			continue
+		}
+		pending = append(pending, i)
+		missed = append(missed, e)
+	}
+	if len(missed) == 0 {
+		return envs, 0
+	}
+	s.eng.RunFunc(ctx, lpmem.Jobs(missed), func(j int, o runner.Outcome[*lpmem.Result]) {
+		env := lpmem.Report{Experiment: missed[j], Outcome: o}.JSON()
+		envs[pending[j]] = env
+		if emit != nil {
+			emit(env)
+		}
+	})
+	stored := 0
+	for _, i := range pending {
+		if s.storePut(lpmem.CacheKey(exps[i].ID), envs[i]) {
+			stored++
+		}
+	}
+	return envs, stored
+}
+
+// failures counts the envelopes that carry an error.
+func failures(envs []lpmem.ResultJSON) int {
+	n := 0
+	for i := range envs {
+		if envs[i].Error != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// batchStatus names a settled batch (of experiments or sweep points) in
+// the degradation vocabulary: "ok", "partial" when some of total
+// failed, "failed" when all did.
+func batchStatus(failed, total int) string {
+	switch {
+	case failed == total && total > 0:
+		return "failed"
+	case failed > 0:
+		return "partial"
+	}
+	return "ok"
 }
 
 // resolve expands the ids query parameter ("", "all", or "E1,E7,...")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -550,5 +551,94 @@ func TestServiceDelayHonoursContext(t *testing.T) {
 	srv.delay(ctx)
 	if d := time.Since(start); d >= time.Second {
 		t.Fatalf("delay ignored cancellation: %v", d)
+	}
+}
+
+// TestStorePersistsOnlySuccesses drives every experiment route twice
+// over a registry with one healthy and one failing experiment. A failure
+// is never written to the result store, the healthy envelope served from
+// the store differs from the computed one only in "cached", and a
+// request answered wholly from the store submits nothing to the engine.
+func TestStorePersistsOnlySuccesses(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	routes := []struct {
+		name  string
+		fetch func(t *testing.T, base string) map[string]lpmem.ResultJSON
+	}{
+		{"one", func(t *testing.T, base string) map[string]lpmem.ResultJSON {
+			out := map[string]lpmem.ResultJSON{}
+			for _, id := range []string{"E1", "E2"} {
+				var env lpmem.ResultJSON
+				get(t, base+"/experiments/"+id, &env)
+				out[env.ID] = env
+			}
+			return out
+		}},
+		{"batch", func(t *testing.T, base string) map[string]lpmem.ResultJSON {
+			_, body := postRun(t, base+"/run?ids=E1,E2")
+			out := map[string]lpmem.ResultJSON{}
+			for _, env := range body.Results {
+				out[env.ID] = env
+			}
+			return out
+		}},
+		{"stream", func(t *testing.T, base string) map[string]lpmem.ResultJSON {
+			resp, err := http.Post(base+"/run?ids=E1,E2&stream=1", "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			out := map[string]lpmem.ResultJSON{}
+			for _, ev := range readSSE(t, resp.Body) {
+				if ev.name != "result" {
+					continue
+				}
+				var env lpmem.ResultJSON
+				if err := json.Unmarshal(ev.data, &env); err != nil {
+					t.Fatal(err)
+				}
+				out[env.ID] = env
+			}
+			return out
+		}},
+	}
+	for _, rt := range routes {
+		t.Run(rt.name, func(t *testing.T) {
+			store, err := resultstore.Open(filepath.Join(t.TempDir(), "results.jsonl"), resultstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			ts, eng := faultServer(t, WithResultStore(store))
+
+			miss := rt.fetch(t, ts.URL)
+			if miss["E1"].Error != "" || miss["E1"].Cached || miss["E2"].Error == "" {
+				t.Fatalf("first pass: %+v", miss)
+			}
+			if n := store.Stats().Appends; n != 1 {
+				t.Fatalf("first pass appended %d entries, want only the success", n)
+			}
+
+			hit := rt.fetch(t, ts.URL)
+			if !hit["E1"].Cached || hit["E2"].Error == "" {
+				t.Fatalf("second pass: %+v", hit)
+			}
+			if n := store.Stats().Appends; n != 1 {
+				t.Fatalf("second pass appended: %d entries in total, want 1", n)
+			}
+			fromStore := hit["E1"]
+			fromStore.Cached = false
+			if !reflect.DeepEqual(fromStore, miss["E1"]) {
+				t.Fatalf("store hit differs beyond cached:\nhit:  %+v\nmiss: %+v", hit["E1"], miss["E1"])
+			}
+
+			before := eng.Metrics().Submitted
+			var env lpmem.ResultJSON
+			get(t, ts.URL+"/experiments/E1", &env)
+			if !env.Cached || eng.Metrics().Submitted != before {
+				t.Fatalf("all-hit request reached the engine: cached=%v submitted %d -> %d",
+					env.Cached, before, eng.Metrics().Submitted)
+			}
+		})
 	}
 }

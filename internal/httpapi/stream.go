@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lpmem"
-	"lpmem/internal/runner"
 )
 
 // The streaming surface: `POST /run?stream=1` and the sweep endpoints
@@ -99,54 +98,11 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request, exps 
 	ctx, cancel := s.runCtx(r)
 	defer cancel()
 	start := time.Now()
-
-	// Serve what the shared store already has; run the rest.
-	envs := make([]lpmem.ResultJSON, len(exps))
-	var pending []int
-	for i, e := range exps {
-		if env, ok := s.storeGet(lpmem.CacheKey(e.ID)); ok {
-			envs[i] = env
-			_ = sse.event("result", env)
-			continue
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) > 0 {
-		pendingExps := make([]lpmem.Experiment, len(pending))
-		for j, i := range pending {
-			pendingExps[j] = exps[i]
-		}
-		jobs := lpmem.Jobs(pendingExps)
-		outs := s.eng.RunFunc(ctx, jobs, func(j int, o runner.Outcome[*lpmem.Result]) {
-			i := pending[j]
-			env := lpmem.Report{Experiment: exps[i], Outcome: o}.JSON()
-			// Events race only against each other; sseWriter serialises.
-			_ = sse.event("result", env)
-		})
-		for j, i := range pending {
-			envs[i] = lpmem.Report{Experiment: exps[i], Outcome: outs[j]}.JSON()
-		}
-	}
-
-	failed, stored := 0, 0
-	for i := range envs {
-		if envs[i].Error != "" {
-			failed++
-			continue
-		}
-		if s.storePut(lpmem.CacheKey(exps[i].ID), envs[i]) {
-			stored++
-		}
-	}
-	status := "ok"
-	switch {
-	case failed == len(envs) && failed > 0:
-		status = "failed"
-	case failed > 0:
-		status = "partial"
-	}
+	// Events race only against each other; sseWriter serialises.
+	envs, stored := s.serve(ctx, exps, func(env lpmem.ResultJSON) { _ = sse.event("result", env) })
+	failed := failures(envs)
 	_ = sse.event("done", map[string]interface{}{
-		"status":     status,
+		"status":     batchStatus(failed, len(envs)),
 		"count":      len(envs),
 		"failed":     failed,
 		"stored":     stored,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 
 	"lpmem/internal/stats"
@@ -33,6 +34,7 @@ type sweepJob struct {
 	mu sync.Mutex
 
 	id         string
+	seq        int // acceptance order; id is "S" + seq
 	space      string
 	objectives []string
 	// status is "running" until the executor returns, then the batch
@@ -201,6 +203,7 @@ func (m *sweepManager) start(req sweepRequest) (*sweepJob, error) {
 	m.seq++
 	job := &sweepJob{
 		id:     fmt.Sprintf("S%d", m.seq),
+		seq:    m.seq,
 		space:  ad.Name(),
 		status: "running", objectives: objs, total: len(pts),
 	}
@@ -248,14 +251,7 @@ func (m *sweepManager) run(job *sweepJob, ad sweep.Adapter, sp sweep.Space, pts 
 	job.frontier = ft
 	job.sensitivity = sweep.Sensitivity(sp.Axes, res.Outcomes)
 	job.results = sweep.ResultsTable(sp.Axes, res.Outcomes)
-	switch {
-	case res.Failed == res.Total && res.Total > 0:
-		job.status = "failed"
-	case res.Failed > 0:
-		job.status = "partial"
-	default:
-		job.status = "ok"
-	}
+	job.status = batchStatus(res.Failed, res.Total)
 }
 
 // get returns the job by ID.
@@ -273,19 +269,13 @@ func (m *sweepManager) list() []sweepStatus {
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
 	}
-	seq := m.seq
 	m.mu.Unlock()
-	out := make([]sweepStatus, 0, len(jobs))
-	for i := seq; i >= 1 && len(out) < len(jobs); i-- {
-		for _, j := range jobs {
-			if j.id == fmt.Sprintf("S%d", i) {
-				s := j.snapshot()
-				// Listings stay light: tables are fetched per-ID.
-				s.Frontier, s.Sensitivity, s.Results = nil, nil, nil
-				out = append(out, s)
-				break
-			}
-		}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq > jobs[b].seq })
+	out := make([]sweepStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.snapshot()
+		// Listings stay light: tables are fetched per-ID.
+		out[i].Frontier, out[i].Sensitivity, out[i].Results = nil, nil, nil
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -203,5 +204,42 @@ func TestSweepSpaces(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("catalogue misses %q: %v", want, names)
 		}
+	}
+}
+
+// TestSweepListNewestFirst: GET /sweeps lists by acceptance order,
+// newest first — numerically, so S10 sorts after S12 and before S9, not
+// between S1 and S2 as text would put it.
+func TestSweepListNewestFirst(t *testing.T) {
+	ts, _ := newTestServer(t)
+	const n = 12
+	for i := 0; i < n; i++ {
+		var accepted sweepStatusJSON
+		if code := postSweep(t, ts.URL, `{"space":"bus","points":2}`, &accepted); code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+	}
+	for i := 1; i <= n; i++ {
+		waitSweep(t, ts.URL, fmt.Sprintf("S%d", i))
+	}
+	var body struct {
+		Sweeps []sweepStatusJSON `json:"sweeps"`
+	}
+	if code := get(t, ts.URL+"/sweeps", &body); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	var got []string
+	for _, sw := range body.Sweeps {
+		got = append(got, sw.ID)
+		if sw.Frontier != nil || sw.Results != nil {
+			t.Fatalf("listing of %s carries tables", sw.ID)
+		}
+	}
+	var want []string
+	for i := n; i >= 1; i-- {
+		want = append(want, fmt.Sprintf("S%d", i))
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("listing order %v, want %v", got, want)
 	}
 }

@@ -12,12 +12,15 @@
 //   - Log: the multi-writer append-only line file. It owns offsets,
 //     fsync policy, torn-tail repair and the incremental Scan used to
 //     pick up lines other replicas appended.
-//   - Store: a key -> payload view over a Log with a size-bounded
-//     in-memory LRU in front, so a hot replica serves popular results
-//     without touching the file while cold keys are re-read by offset.
+//   - Store: the key -> line index over a Log, with a size-bounded
+//     in-memory LRU of lines in front, so a hot replica serves popular
+//     results without touching the file while cold keys are re-read by
+//     offset. Get/Put speak the Entry line format; Line/AppendLine
+//     serve callers with a line format of their own.
 //
-// internal/sweep's Store is a thin typed wrapper over Log (same line
-// format as before); lpmemd's experiment-result cache uses Store.
+// lpmemd's experiment-result cache uses Store through Get/Put;
+// internal/sweep's Store is a typed view over Store through
+// Line/AppendLine, so its JSONL records keep their own format.
 package resultstore
 
 import (

@@ -18,8 +18,9 @@ type Entry struct {
 
 // Options tune a Store.
 type Options struct {
-	// MaxCached bounds the in-memory LRU payload cache. <= 0 means 4096
-	// entries. The key index is not bounded — it holds only offsets.
+	// MaxCached bounds the in-memory LRU line cache. <= 0 means 4096
+	// entries. A file-backed store's key index is not bounded — it holds
+	// only offsets; a memory-only store holds at most MaxCached keys.
 	MaxCached int
 	// Sync fsyncs every append; see OpenLog.
 	Sync bool
@@ -30,12 +31,12 @@ type Options struct {
 type Stats struct {
 	// Keys is the number of distinct keys known (index size).
 	Keys int `json:"keys"`
-	// Cached is the number of payloads currently held by the LRU.
+	// Cached is the number of lines currently held by the LRU.
 	Cached int `json:"cached"`
 	// MaxCached is the LRU bound.
 	MaxCached int `json:"max_cached"`
-	// Hits/Misses count Get outcomes; a hit served from the file rather
-	// than the LRU still counts as a hit.
+	// Hits/Misses count Get/Line outcomes; a hit served from the file
+	// rather than the LRU still counts as a hit.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// FileReads counts LRU misses satisfied by re-reading the log.
@@ -43,9 +44,9 @@ type Stats struct {
 	// Refreshes counts incremental scans that picked up appended lines
 	// (from this replica or its peers).
 	Refreshes uint64 `json:"refreshes"`
-	// Appends counts Put calls that reached the log.
+	// Appends counts Put/AppendLine calls that reached the log.
 	Appends uint64 `json:"appends"`
-	// Evictions counts LRU payload evictions.
+	// Evictions counts LRU line evictions.
 	Evictions uint64 `json:"evictions"`
 	// SkippedLines counts unparseable lines dropped during scans (at most
 	// the torn tail of a killed writer on a healthy file).
@@ -61,17 +62,29 @@ type span struct {
 	len int
 }
 
+// lruEntry caches one whole line; payload memoises its decoded Entry
+// payload once Get has asked for it.
 type lruEntry struct {
 	key     string
+	line    []byte
 	payload json.RawMessage
 }
 
+// keyed is the one field the index reads from every line.
+type keyed struct {
+	Key string `json:"key"`
+}
+
 // Store is a content-addressed result cache shared across replicas: a
-// key -> payload view over an append-only Log with a size-bounded LRU in
-// front. Get serves hot keys from memory, cold keys by a single ReadAt,
-// and unknown keys after an incremental refresh that merges whatever
-// other replicas appended since the last look. An empty path makes the
-// store memory-only (no sharing, used by tests and storeless lpmemd).
+// key -> line index over an append-only Log with a size-bounded LRU of
+// whole lines in front. Every line is a JSON object indexed by its
+// top-level "key"; Get/Put speak the Entry line format, Line/AppendLine
+// let a typed view (internal/sweep) keep its own. Get serves hot keys
+// from memory, cold keys by a single ReadAt, and unknown keys after an
+// incremental refresh that merges whatever other replicas appended since
+// the last look. An empty path makes the store memory-only (no sharing,
+// used by tests and storeless lpmemd): it then holds at most MaxCached
+// keys, since an evicted line has no file to come back from.
 type Store struct {
 	opts Options
 	log  *Log // nil when memory-only
@@ -146,7 +159,7 @@ func (s *Store) Stats() Stats {
 }
 
 // Refresh scans lines appended since the last look — by this replica or
-// any peer sharing the file — into the index. Payloads are not decoded
+// any peer sharing the file — into the index. Lines are not cached
 // eagerly; the LRU fills on demand.
 func (s *Store) Refresh() error {
 	if s.log == nil {
@@ -160,12 +173,12 @@ func (s *Store) Refresh() error {
 func (s *Store) refreshLocked() error {
 	grew := false
 	err := s.log.Scan(func(off int64, line []byte) error {
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+		var k keyed
+		if err := json.Unmarshal(line, &k); err != nil || k.Key == "" {
 			s.skipped++
 			return nil
 		}
-		s.index[e.Key] = span{off: off, len: len(line)}
+		s.index[k.Key] = span{off: off, len: len(line)}
 		grew = true
 		return nil
 	})
@@ -175,39 +188,58 @@ func (s *Store) refreshLocked() error {
 	return err
 }
 
-// Get returns the payload stored under key, if any replica has put it.
-// The lookup order is LRU, then log by indexed offset, then one
+// Get returns the Entry payload stored under key, if any replica has put
+// it. The lookup order is LRU, then log by indexed offset, then one
 // incremental refresh to pick up peers' recent appends.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		s.hits++
-		return el.Value.(*lruEntry).payload, true
+	el, ok := s.lineLocked(key)
+	if !ok && s.log != nil && s.refreshLocked() == nil {
+		// Unknown here — but a peer replica may have computed it since
+		// our last scan. Refresh is cheap when nothing was appended (one
+		// fstat).
+		el, ok = s.lineLocked(key)
 	}
-	if p, ok := s.readThroughLocked(key); ok {
-		s.hits++
-		return p, true
-	}
-	// Unknown here — but a peer replica may have computed it since our
-	// last scan. Refresh is cheap when nothing was appended (one fstat).
-	if s.log != nil {
-		if err := s.refreshLocked(); err == nil {
-			if p, ok := s.readThroughLocked(key); ok {
-				s.hits++
-				return p, true
-			}
+	if ok && el.payload == nil {
+		var e Entry
+		if err := json.Unmarshal(el.line, &e); err != nil {
+			ok = false
+		} else {
+			el.payload = e.Payload
 		}
 	}
-	s.misses++
-	return nil, false
+	if !ok {
+		s.misses++
+		return nil, false
+	}
+	s.hits++
+	return el.payload, true
 }
 
-// readThroughLocked serves key from the log via the index, refilling the
-// LRU. Spans still awaiting their offset (our own un-scanned appends)
-// are resolved by a refresh first.
-func (s *Store) readThroughLocked(key string) (json.RawMessage, bool) {
+// Line returns the whole line indexed under key without refreshing: the
+// caller decides when to merge peers' appends (see Refresh). The slice
+// is shared with the cache and must not be modified.
+func (s *Store) Line(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.lineLocked(key)
+	if !ok {
+		s.misses++
+		return nil, false
+	}
+	s.hits++
+	return el.line, true
+}
+
+// lineLocked serves key from the LRU, else from the log via the index,
+// refilling the LRU. Spans still awaiting their offset (our own
+// un-scanned appends) are resolved by a refresh first.
+func (s *Store) lineLocked(key string) (*lruEntry, bool) {
+	if el, ok := s.byKey[key]; ok {
+		s.lru.MoveToFront(el)
+		return el.Value.(*lruEntry), true
+	}
 	sp, ok := s.index[key]
 	if !ok || s.log == nil {
 		return nil, false
@@ -224,20 +256,19 @@ func (s *Store) readThroughLocked(key string) (json.RawMessage, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var e Entry
-	if err := json.Unmarshal(line, &e); err != nil || e.Key != key {
+	var k keyed
+	if err := json.Unmarshal(line, &k); err != nil || k.Key != key {
 		return nil, false
 	}
 	s.fileReads++
-	s.insertLocked(key, e.Payload)
-	return e.Payload, true
+	return s.insertLocked(key, line, nil), true
 }
 
-// Put stores payload under key: append to the shared log (fsync'd per
-// Options) and refill the LRU. Peers observe the entry at their next
-// refresh. Re-putting a key is allowed — results are content-addressed,
-// so a duplicate line carries the same value and load-time merging by
-// key keeps one.
+// Put stores payload under key as one Entry line: append to the shared
+// log (fsync'd per Options) and refill the LRU. Peers observe the entry
+// at their next refresh. Re-putting a key is allowed — results are
+// content-addressed, so a duplicate line carries the same value and
+// load-time merging by key keeps one.
 func (s *Store) Put(key, kind string, payload interface{}) error {
 	if key == "" {
 		return fmt.Errorf("resultstore: put with empty key")
@@ -252,40 +283,57 @@ func (s *Store) Put(key, kind string, payload interface{}) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.appendLocked(key, line, raw)
+}
+
+// AppendLine stores an already-encoded line — a JSON object whose
+// top-level "key" is key — exactly as given, with the same sharing and
+// caching as Put. The store keeps line; the caller must not modify it.
+func (s *Store) AppendLine(key string, line []byte) error {
+	if key == "" {
+		return fmt.Errorf("resultstore: put with empty key")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(key, line, nil)
+}
+
+func (s *Store) appendLocked(key string, line []byte, payload json.RawMessage) error {
 	if s.log != nil {
 		if err := s.log.Append(line); err != nil {
 			return err
 		}
 		s.appends++
-		if _, known := s.index[key]; !known {
-			// Offset unknown until a scan reaches our line; see span.
-			s.index[key] = span{off: -1}
-		}
-	} else {
+	}
+	if _, known := s.index[key]; !known || s.log == nil {
+		// Offset unknown until a scan reaches our line; see span.
 		s.index[key] = span{off: -1}
 	}
-	s.insertLocked(key, raw)
+	s.insertLocked(key, line, payload)
 	return nil
 }
 
-// insertLocked adds (or touches) a payload in the LRU, evicting from the
-// back past the bound.
-func (s *Store) insertLocked(key string, payload json.RawMessage) {
+// insertLocked adds (or replaces) a line in the LRU, evicting from the
+// back past the bound. A memory-only store forgets evicted keys: no file
+// could serve them again.
+func (s *Store) insertLocked(key string, line []byte, payload json.RawMessage) *lruEntry {
 	if el, ok := s.byKey[key]; ok {
-		el.Value.(*lruEntry).payload = payload
+		e := el.Value.(*lruEntry)
+		e.line, e.payload = line, payload
 		s.lru.MoveToFront(el)
-		return
+		return e
 	}
-	s.byKey[key] = s.lru.PushFront(&lruEntry{key: key, payload: payload})
+	e := &lruEntry{key: key, line: line, payload: payload}
+	s.byKey[key] = s.lru.PushFront(e)
 	for s.lru.Len() > s.opts.MaxCached {
-		back := s.lru.Back()
-		if back == nil {
-			break
+		back := s.lru.Remove(s.lru.Back()).(*lruEntry)
+		delete(s.byKey, back.key)
+		if s.log == nil {
+			delete(s.index, back.key)
 		}
-		s.lru.Remove(back)
-		delete(s.byKey, back.Value.(*lruEntry).key)
 		s.evictions++
 	}
+	return e
 }
 
 // Close closes the backing log; the in-memory LRU stays readable but

@@ -82,6 +82,34 @@ func TestStoreMemoryOnly(t *testing.T) {
 	}
 }
 
+// TestStoreMemoryOnlyEvictionForgetsKey: a memory-only store has no file
+// to re-read an evicted entry from, so eviction must drop the key from
+// the index too — Len and Stats.Keys count only keys Get can serve, and
+// the index stays bounded by MaxCached.
+func TestStoreMemoryOnlyEvictionForgetsKey(t *testing.T) {
+	s, err := Open("", Options{MaxCached: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), "", payload{N: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gettable := 0
+	for i := 0; i < 4; i++ {
+		if _, ok := s.Get(fmt.Sprintf("k%d", i)); ok {
+			gettable++
+		}
+	}
+	if gettable != 2 {
+		t.Fatalf("%d keys gettable, want the 2 most recent", gettable)
+	}
+	if s.Len() != gettable || s.Stats().Keys != gettable {
+		t.Fatalf("Len=%d Stats.Keys=%d, want both %d (only gettable keys)", s.Len(), s.Stats().Keys, gettable)
+	}
+}
+
 func TestStoreLRUBoundAndFileReadThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 	s, err := Open(path, Options{MaxCached: 4})

@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"lpmem/internal/resultstore"
 )
@@ -27,69 +26,52 @@ type Record struct {
 // append-only JSON-lines file keyed by point content hash. Re-running a
 // sweep against a warm store executes only the missing points; a sweep
 // killed mid-flight resumes from whatever was flushed. A Store with an
-// empty path is memory-only (used by the HTTP service and tests).
+// empty path is memory-only (used by the HTTP service and tests); it
+// keeps the 4096 most recently used records.
 //
-// The file layer is resultstore.Log, which makes the store safe for
-// multiple concurrent writer processes: every record is appended as one
-// whole O_APPEND line, so replicas sharing a store file interleave
-// records, never bytes, and Refresh merges what peers appended since the
-// last look. Loading tolerates a torn final line — the footprint of a
-// killed process — and, defensively, skips any other unparseable line
+// Store is a typed view over resultstore.Store, which owns the index,
+// the LRU, the incremental refresh across replicas sharing the file and
+// the count of skipped lines: Put encodes a Record as one line, Get
+// decodes the indexed one. Loading tolerates a torn final line — the
+// footprint of a killed process — and skips any other unparseable line
 // rather than refusing the whole file: every intact record is still
 // worth not recomputing.
 type Store struct {
-	path string
-
-	mu      sync.Mutex
-	recs    map[string]Record
-	order   []string // insertion order, for deterministic dumps
-	log     *resultstore.Log
-	skipped int
+	rs *resultstore.Store
 }
 
 // OpenStore loads (creating if needed) the JSONL store at path, or
 // returns a memory-only store when path is empty.
 func OpenStore(path string) (*Store, error) {
-	s := &Store{path: path, recs: make(map[string]Record)}
-	if path == "" {
-		return s, nil
-	}
-	log, err := resultstore.OpenLog(path, false)
+	rs, err := resultstore.Open(path, resultstore.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open store: %w", err)
 	}
-	s.log = log
-	if err := s.refreshLocked(); err != nil {
-		_ = log.Close()
-		return nil, fmt.Errorf("sweep: read store: %w", err)
-	}
-	return s, nil
+	return &Store{rs: rs}, nil
 }
 
 // Path returns the backing file path ("" for memory-only stores).
-func (s *Store) Path() string { return s.path }
+func (s *Store) Path() string { return s.rs.Path() }
 
 // Len returns the number of records held.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.recs)
-}
+func (s *Store) Len() int { return s.rs.Len() }
 
 // Skipped reports how many unparseable lines the loads so far dropped
 // (0 on a healthy file; at most the torn tail of a killed sweep).
-func (s *Store) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skipped
-}
+func (s *Store) Skipped() int { return int(s.rs.Stats().SkippedLines) }
 
-// Get returns the record for key, if present.
+// Get returns the record for key, if present. It does not look for
+// peers' appends; call Refresh for that.
 func (s *Store) Get(key string) (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.recs[key]
-	return rec, ok
+	line, ok := s.rs.Line(key)
+	if !ok {
+		return Record{}, false
+	}
+	var rec Record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // Refresh merges records appended to the backing file since the last
@@ -97,31 +79,10 @@ func (s *Store) Get(key string) (Record, bool) {
 // stores no-op. The call is cheap when nothing new was appended (one
 // fstat).
 func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	if err := s.refreshLocked(); err != nil {
+	if err := s.rs.Refresh(); err != nil {
 		return fmt.Errorf("sweep: refresh store: %w", err)
 	}
 	return nil
-}
-
-// refreshLocked scans new complete lines into the record map.
-func (s *Store) refreshLocked() error {
-	return s.log.Scan(func(_ int64, line []byte) error {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-			s.skipped++
-			return nil
-		}
-		if _, dup := s.recs[rec.Key]; !dup {
-			s.order = append(s.order, rec.Key)
-		}
-		s.recs[rec.Key] = rec
-		return nil
-	})
 }
 
 // Put inserts (or overwrites) a record and appends it to the backing
@@ -131,35 +92,19 @@ func (s *Store) Put(rec Record) error {
 	if rec.Key == "" {
 		return fmt.Errorf("sweep: record with empty key")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.recs[rec.Key]; !dup {
-		s.order = append(s.order, rec.Key)
-	}
-	s.recs[rec.Key] = rec
-	if s.log == nil {
-		return nil
-	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("sweep: encode record: %w", err)
 	}
-	if err := s.log.Append(line); err != nil {
+	if err := s.rs.AppendLine(rec.Key, line); err != nil {
 		return fmt.Errorf("sweep: write store: %w", err)
 	}
 	return nil
 }
 
-// Close closes the backing file. The in-memory view stays readable.
+// Close closes the backing file. Recently used records stay readable.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Close()
-	s.log = nil
-	if err != nil {
+	if err := s.rs.Close(); err != nil {
 		return fmt.Errorf("sweep: close store: %w", err)
 	}
 	return nil

@@ -261,3 +261,80 @@ func TestStoreRefreshSeesPeerAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// parentLines is the sweep JSONL format as every earlier release wrote
+// it: one {"key","adapter","point","metrics"} object per line.
+const parentLines = `{"key":"test@sweep-1:bed0642cd16f690d","adapter":"test","point":{"i":"0"},"metrics":{"energy_pj":0,"latency":1,"area":2}}
+{"key":"test@sweep-1:bed0632cd16f675a","adapter":"test","point":{"i":"1"},"metrics":{"energy_pj":1,"latency":1,"area":2}}
+{"key":"bus@sweep-1:6f2886a72b4d3d9c","adapter":"bus","point":{"code":"gray","width":"0.5"},"metrics":{"energy_pj":1.25,"latency":3,"area":0.001}}
+`
+
+// TestStoreLineFormatUnchanged: records written through the store are
+// byte-identical to the established line format, so stores written by
+// older and newer builds resume into each other.
+func TestStoreLineFormatUnchanged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{
+		storeRecord(0),
+		storeRecord(1),
+		RecordFor("bus", Point{"code": EnumValue("gray"), "width": FloatValue(0.5)},
+			Metrics{EnergyPJ: 1.25, Latency: 3, Area: 0.001}),
+	}
+	for _, rec := range recs {
+		if err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != parentLines {
+		t.Fatalf("store bytes changed:\ngot:\n%s\nwant:\n%s", got, parentLines)
+	}
+}
+
+// TestStoreReopensDamagedParentFile: a file in the established format
+// with one garbage line and a torn tail opens with the intact records
+// counted and the garbage skipped; the torn tail is skipped once an
+// append buries it.
+func TestStoreReopensDamagedParentFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.jsonl")
+	damaged := parentLines + "not json at all\n" +
+		`{"key":"test@sweep-1:bed05d2cd16f5d28","adapter":"te`
+	if err := os.WriteFile(path, []byte(damaged), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 3 || s.Skipped() != 1 {
+		t.Fatalf("damaged store: len=%d skipped=%d, want 3/1", s.Len(), s.Skipped())
+	}
+	rec, ok := s.Get("bus@sweep-1:6f2886a72b4d3d9c")
+	if !ok || rec.Point["code"] != "gray" || rec.Metrics.EnergyPJ != 1.25 {
+		t.Fatalf("bus record = %+v, %v", rec, ok)
+	}
+	if err := s.Put(storeRecord(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != 4 || s2.Skipped() != 2 {
+		t.Fatalf("reopened store: len=%d skipped=%d, want 4/2", s2.Len(), s2.Skipped())
+	}
+}

@@ -12,6 +12,7 @@
 #   ./scripts/ci.sh trace           # binary/text trace round-trip + replay gate
 #   ./scripts/ci.sh sweep           # design-space sweep resume/determinism gate
 #   ./scripts/ci.sh serve           # lpmemd + loadgen end-to-end smoke
+#   ./scripts/ci.sh loc             # count non-test Go lines (informational)
 #
 # The race run is the correctness backstop for the concurrent experiment
 # runner (internal/runner) and the lpmemd HTTP service; `quick` trades it
@@ -35,6 +36,9 @@
 # access log), drives a short `lpmem loadgen` burst against it with
 # -verify, and requires zero failed requests, shed accounting that
 # matches the server's own counters, and a clean SIGINT shutdown.
+# `loc` never gates: it prints the non-test .go line count outside
+# perfbench/ (its own module), the figure each change reports as its
+# net code growth or shrinkage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +54,11 @@ cleanup() {
     fi
 }
 trap cleanup EXIT
+
+stage_loc() {
+    echo "== non-test Go lines outside perfbench/"
+    find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l
+}
 
 stage_fmt() {
     echo "== gofmt"
@@ -274,10 +283,11 @@ run_stage() {
         trace) stage_trace ;;
         sweep) stage_sweep ;;
         serve) stage_serve ;;
+        loc)   stage_loc ;;
         quick) stage_fmt; stage_vet; stage_lint_quick; stage_build; stage_test_norace ;;
         all)   stage_fmt; stage_vet; stage_lint; stage_build; stage_test; stage_chaos; stage_fuzz; stage_trace; stage_sweep; stage_serve ;;
         *)
-            echo "usage: $0 [fmt|vet|lint|build|test|bench|chaos|fuzz|trace|sweep|serve|quick|all] ..." >&2
+            echo "usage: $0 [fmt|vet|lint|build|test|bench|chaos|fuzz|trace|sweep|serve|loc|quick|all] ..." >&2
             exit 2
             ;;
     esac
